@@ -1,10 +1,13 @@
-// bench_score - Per-chip scoring throughput: the packed kernel +
-// SignatureCache path of Diagnoser::diagnose() against the scalar
-// reference, on ISCAS-89-class stand-ins.
+// bench_score - Per-chip scoring throughput of Diagnoser::diagnose() with
+// a SignatureCache shared across chips against one built per call, on
+// ISCAS-89-class stand-ins.
 //
 // For each circuit and each thread count in {1, --threads}, the harness
 // diagnoses the same population of failing chips three ways:
-//   scalar       - per-chip Monte-Carlo re-simulation (cache = nullptr);
+//   scalar       - cache = nullptr: each diagnose() builds its own
+//                  call-local cache, so every chip re-runs the Monte-Carlo
+//                  column builds (the leg keeps its old name; the scalar
+//                  scoring path it once timed no longer exists);
 //   kernel cold  - a fresh SignatureCache, first pass over every chip pays
 //                  the one-time column builds (the amortized cost);
 //   kernel warm  - a second pass over the same chips: every (pattern,

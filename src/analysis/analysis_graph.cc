@@ -10,6 +10,7 @@
 
 #include "analysis/rule.h"
 #include "netlist/cell.h"
+#include "obs/codec.h"
 #include "paths/transition_graph.h"
 #include "timing/clark_ssta.h"
 
@@ -25,19 +26,9 @@ namespace {
 
 bool valid_id(GateId f, std::size_t n) { return f < n; }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 std::uint64_t fnv1a_words(const std::uint64_t* words, std::size_t n) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t w = words[i];
-    for (int b = 0; b < 8; ++b) {
-      h ^= w & 0xff;
-      h *= kFnvPrime;
-      w >>= 8;
-    }
-  }
+  std::uint64_t h = obs::kFnv1aOffset;
+  for (std::size_t i = 0; i < n; ++i) h = obs::fnv1a64_word(h, words[i]);
   return h;
 }
 
@@ -470,11 +461,7 @@ SensitizationFacts compute_sensitization_facts(
 namespace {
 
 std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  return std::isfinite(v) ? obs::json_double(v) : "null";
 }
 
 }  // namespace

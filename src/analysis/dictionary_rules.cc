@@ -12,6 +12,7 @@
 #include "analysis/analysis_graph.h"
 #include "analysis/pass.h"
 #include "introspect/confidence.h"
+#include "obs/codec.h"
 
 namespace sddd::analysis {
 
@@ -241,23 +242,15 @@ class DuplicateSignatureRule final : public Rule {
   }
 
   static std::uint64_t hash_matrix(const std::vector<std::vector<double>>& x) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t w) {
-      for (int b = 0; b < 8; ++b) {
-        h ^= w & 0xff;
-        h *= 0x100000001b3ULL;
-        w >>= 8;
-      }
-    };
-    mix(x.size());
+    std::uint64_t h = obs::fnv1a64_word(obs::kFnv1aOffset, x.size());
     for (const auto& row : x) {
-      mix(row.size());
+      h = obs::fnv1a64_word(h, row.size());
       for (const double v : row) {
         // Normalize +/-0.0 so equal() and the hash agree on it.
         std::uint64_t bits;
         const double canon = v == 0.0 ? 0.0 : v;
         std::memcpy(&bits, &canon, sizeof bits);
-        mix(bits);
+        h = obs::fnv1a64_word(h, bits);
       }
     }
     return h;

@@ -10,11 +10,15 @@
 //   4. aggregate phi into one score per error function (step 7 / revised
 //      step 7) and rank (step 8 / revised step 8).
 //
-// The pattern loop is outermost so only one pattern's baseline arrival
-// matrix is alive at a time; all methods share one pass (the phi values
-// are method-independent).
+// Steps 2-4 are score_suspects() (score_kernel.h), the one scoring loop
+// the store-backed StoreQueryEngine also runs.  The Diagnoser's column
+// source is a SignatureCache: the caller's shared one, or a call-local one
+// when DiagnoserConfig::cache is null.  The pattern loop is outermost so
+// only one pattern's baseline arrival matrix is alive at a time; all
+// methods share one pass (the phi values are method-independent).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -49,27 +53,14 @@ struct DiagnoserConfig {
   /// default: the matrix is |S| x |TP| doubles the scoring loop otherwise
   /// never materializes.
   bool capture_phi = false;
-  /// When set, diagnose() scores through the packed kernel path against
-  /// this cache (signature_matrix.h): suspect columns are built once per
-  /// (circuit, clk, pattern) and reused across every chip, the chip's B
-  /// column is bit-packed, and phi evaluates kKernelLanes suspects per
-  /// block - bit-identical scores, keys, ranks and captured phi to the
-  /// scalar path (score_kernel.h states the argument).  The cache must
-  /// have been built against the same simulator, clk and match mode;
-  /// diagnose() throws on a clk/match mismatch.  Null (default) keeps the
-  /// scalar per-chip path.
+  /// Column cache shared across chips (signature_matrix.h): suspect
+  /// columns are built once per (circuit, clk, pattern) and reused by every
+  /// chip that shares the pattern set.  It must have been built against
+  /// the same simulator, clk and match mode; diagnose() throws on a
+  /// clk/match mismatch.  Null (default): each diagnose() call scores
+  /// through a call-local cache, with bit-identical results.
   const SignatureCache* cache = nullptr;
-  /// When set, suspects the pattern does not sensitize are collapsed onto
-  /// one shared phi evaluation per pattern: an inactive suspect's E column
-  /// provably equals the baseline M column (dynamic_sim falls back to the
-  /// defect-free error vector when the arc is off every active path), and
-  /// its S column is exactly zero - so one phi of the baseline column
-  /// serves every inactive suspect bit-identically.  Scores, keys, ranks
-  /// and captured phi are byte-identical to the uncollapsed run (ci.sh
-  /// compares the result JSONs); only diag.phi_evals and the per-pattern
-  /// column work drop.  The static diagnosability report (sddd_lint
-  /// --diagnosability) predicts exactly which (suspect, pattern) cells
-  /// this collapses.
+  /// Ignored: collapse is always on.  Kept only because perfbench sets it.
   bool collapse_unobservable = false;
 };
 
@@ -109,6 +100,14 @@ struct DiagnosisResult {
   bool hit_within(Method m, netlist::ArcId arc, std::size_t k) const;
 };
 
+/// Algorithm E.1 step 1's selection, shared by both extraction paths:
+/// every arc with nonzero support (the number of failing (output, pattern)
+/// cells whose cone contains it), in arc order.  With max_suspects > 0 the
+/// best-supported max_suspects arcs are kept (stable, so deterministic).
+/// Adds the suspect count to diag.suspects.
+std::vector<netlist::ArcId> select_suspects(
+    std::span<const std::uint32_t> support, std::size_t max_suspects);
+
 class Diagnoser {
  public:
   /// `sim` must wrap the *dictionary* delay field (the model predictor),
@@ -125,27 +124,13 @@ class Diagnoser {
       const BehaviorMatrix& B) const;
 
   /// Full diagnosis: returns scores for all requested methods in one pass
-  /// over (patterns x suspects).
+  /// over (patterns x suspects).  Throws std::invalid_argument unless B is
+  /// |outputs| x |patterns|.
   DiagnosisResult diagnose(std::span<const logicsim::PatternPair> patterns,
                            const BehaviorMatrix& B,
                            std::span<const Method> methods, double clk) const;
 
  private:
-  /// The per-chip scalar scoring loop (reference semantics): one
-  /// PatternSlice per pattern, per-suspect columns through reused buffers
-  /// and precomputed size tables, phi() per (suspect, pattern).
-  void score_scalar(std::span<const logicsim::PatternPair> patterns,
-                    const BehaviorMatrix& B, double clk,
-                    DiagnosisResult& result,
-                    std::vector<std::vector<ScoreAccumulator>>& acc) const;
-
-  /// The cached kernel scoring loop: columns from config_.cache, packed B,
-  /// blocked phi.  Bit-identical outputs to score_scalar.
-  void score_kernel_path(std::span<const logicsim::PatternPair> patterns,
-                         const BehaviorMatrix& B, double clk,
-                         DiagnosisResult& result,
-                         std::vector<std::vector<ScoreAccumulator>>& acc) const;
-
   const timing::DynamicTimingSimulator* sim_;
   const logicsim::BitSimulator* logic_sim_;
   const netlist::Levelization* lev_;

@@ -1,5 +1,13 @@
-// score_kernel.h - The per-chip scoring hot path: phi for a whole suspect
-// block against one chip's bit-packed behavior column.
+// score_kernel.h - The per-chip scoring loop and its hot path: phi for a
+// whole suspect block against one chip's bit-packed behavior column.
+//
+// score_suspects() is Algorithm E.1 steps 5-8 (F.1 for Alg_rev), written
+// once.  Per pattern it packs B's column, asks a ColumnSource for every
+// suspect's column, evaluates phi once per distinct column and feeds each
+// suspect's ScoreAccumulators in pattern order.  Two sources exist: the
+// SignatureCache (Diagnoser::diagnose, columns built on demand from the
+// dictionary simulator) and the mmapped dictionary store
+// (StoreQueryEngine::diagnose).  The loop runs on the caller's thread.
 //
 // The scalar reference is phi() in error_fn.h: per suspect, a product over
 // primary outputs k of (b_k ? s_k : 1 - s_k).  The kernel evaluates
@@ -18,15 +26,16 @@
 //
 // The kernel performs no per-call contract scan and no per-suspect counter
 // update: columns are validated once at cache-ingest time (see
-// signature_matrix.h) and the diagnoser batches diag.phi_evals per pattern
-// via note_phi_evals().
+// signature_matrix.h) and score_suspects() batches diag.phi_evals per
+// pattern via note_phi_evals().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "diagnosis/behavior.h"
-#include "obs/metrics.h"
+#include "diagnosis/diagnoser.h"
 
 namespace sddd::diagnosis {
 
@@ -60,13 +69,28 @@ inline constexpr std::size_t kKernelLanes = 8;
 void phi_block(const double* const* cols, std::size_t n_cols,
                std::size_t n_outputs, const PackedBColumn& b, double* out);
 
-/// diag.kernel.* accounting, batched per pattern by the kernel scoring
-/// path: one pattern evaluated over `n_suspects` cached columns.
-void note_kernel_pattern(std::size_t n_suspects);
+/// Where score_suspects() reads suspect columns, one pattern at a time.
+class ColumnSource {
+ public:
+  virtual ~ColumnSource() = default;
 
-/// Wall-time split of the kernel scoring path (both are sub-spans of
-/// diag.score_ns): cached-column acquisition vs packed phi evaluation.
-obs::Counter& kernel_build_ns_counter();
-obs::Counter& kernel_phi_ns_counter();
+  /// Writes the column of suspects[i] under pattern `j` into out[i]: |O|
+  /// doubles that stay valid while the source lives.  Returns the column
+  /// shared by every suspect the pattern does not sensitize (their E
+  /// column is the baseline M column, their S column is zero), or nullptr
+  /// when the source hands each suspect its own column.
+  virtual const double* columns(std::size_t j,
+                                std::span<const netlist::ArcId> suspects,
+                                std::vector<const double*>& out) const = 0;
+};
+
+/// Scores result.suspects under result.methods against B (Algorithm E.1
+/// steps 5-8, F.1 for Alg_rev) and fills result.scores, result.keys and,
+/// with `capture_phi`, result.phi.  The suspects holding the source's
+/// shared column get one phi evaluation between them.  Every suspect's
+/// accumulators see its phi values in pattern order, so the result is
+/// bit-identical whichever source supplies the (equal) columns.
+void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
+                    bool capture_phi, DiagnosisResult& result);
 
 }  // namespace sddd::diagnosis

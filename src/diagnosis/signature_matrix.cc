@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <new>
+#include <optional>
 
+#include "obs/codec.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 
@@ -32,27 +34,21 @@ obs::Counter& sig_cache_bytes_counter() {
 // stored pattern is always verified afterwards, so a collision only costs
 // one extra Entry in the bucket, never a wrong column.
 std::uint64_t pattern_fingerprint(const logicsim::PatternPair& p) {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](std::uint64_t byte) {
-    h ^= byte;
-    h *= kPrime;
-  };
-  const auto mix_bits = [&](const logicsim::Pattern& bits) {
-    mix(bits.size() & 0xff);
-    mix((bits.size() >> 8) & 0xff);
-    std::uint64_t word = 0;
+  std::uint64_t h = obs::kFnv1aOffset;
+  const auto mix_bits = [&h](const logicsim::Pattern& bits) {
+    h = obs::fnv1a_step(h, static_cast<std::uint8_t>(bits.size()));
+    h = obs::fnv1a_step(h, static_cast<std::uint8_t>(bits.size() >> 8));
+    std::uint8_t byte = 0;
     std::size_t fill = 0;
     for (const bool bit : bits) {
-      word = (word << 1) | static_cast<std::uint64_t>(bit);
+      byte = static_cast<std::uint8_t>((byte << 1) | (bit ? 1 : 0));
       if (++fill == 8) {
-        mix(word);
-        word = 0;
+        h = obs::fnv1a_step(h, byte);
+        byte = 0;
         fill = 0;
       }
     }
-    if (fill != 0) mix(word);
+    if (fill != 0) h = obs::fnv1a_step(h, byte);
   };
   mix_bits(p.v1);
   mix_bits(p.v2);
@@ -112,45 +108,68 @@ SignatureCache::Entry& SignatureCache::entry_for(
   return *bucket.back();
 }
 
+void SignatureCache::fill_collapse(Entry& entry,
+                                   const PatternSlice& slice) const {
+  // The slice's ternary transition graph yields the active-arc flags, its
+  // baseline error vector the column every inactive suspect's E column
+  // equals (dynamic_sim falls back to error_vector_into when the arc is
+  // off every active path).  Under S matching that shared column is
+  // exactly zero: S = max(M - M, 0).
+  auto cs = std::make_unique<CollapseSlice>();
+  const auto& nl = logic_sim_->netlist();
+  cs->active.resize(nl.arc_count());
+  for (netlist::ArcId a = 0; a < nl.arc_count(); ++a) {
+    cs->active[a] = slice.transition_graph().is_active(a) ? 1 : 0;
+  }
+  if (match_e_) {
+    cs->baseline = slice.m_column();
+  } else {
+    cs->baseline.assign(slice.m_column().size(), 0.0);
+  }
+  n_outputs_.store(cs->baseline.size(), std::memory_order_release);
+  entry.collapse = std::move(cs);
+}
+
 const SignatureCache::CollapseSlice& SignatureCache::collapse_slice(
     const logicsim::PatternPair& pattern) const {
   Entry& entry = entry_for(pattern);
   const std::lock_guard<std::mutex> lock(entry.mu);
   if (entry.collapse == nullptr) {
-    // One transient PatternSlice: its ternary transition graph yields the
-    // active-arc flags, its baseline error vector the column every
-    // inactive suspect's E column equals (dynamic_sim falls back to
-    // error_vector_into when the arc is off every active path).  Under S
-    // matching that shared column is exactly zero: S = max(M - M, 0).
-    const PatternSlice slice(*sim_, *logic_sim_, *lev_, pattern, clk_);
-    auto cs = std::make_unique<CollapseSlice>();
-    const auto& nl = logic_sim_->netlist();
-    cs->active.resize(nl.arc_count());
-    for (netlist::ArcId a = 0; a < nl.arc_count(); ++a) {
-      cs->active[a] = slice.transition_graph().is_active(a) ? 1 : 0;
-    }
-    if (match_e_) {
-      cs->baseline = slice.m_column();
-    } else {
-      cs->baseline.assign(slice.m_column().size(), 0.0);
-    }
-    n_outputs_.store(cs->baseline.size(), std::memory_order_release);
-    entry.collapse = std::move(cs);
+    fill_collapse(entry,
+                  PatternSlice(*sim_, *logic_sim_, *lev_, pattern, clk_));
   }
   return *entry.collapse;
 }
 
-void SignatureCache::columns(const logicsim::PatternPair& pattern,
-                             std::span<const netlist::ArcId> suspects,
-                             std::vector<const double*>& out) const {
+const double* SignatureCache::columns(
+    const logicsim::PatternPair& pattern,
+    std::span<const netlist::ArcId> suspects,
+    std::vector<const double*>& out) const {
   Entry& entry = entry_for(pattern);
   out.resize(suspects.size());
   const std::lock_guard<std::mutex> lock(entry.mu);
 
-  // First pass: serve what is already built, collect the rest.
+  // At most one PatternSlice (baseline arrival matrix) per call, alive only
+  // for this scope: it yields the pattern's collapse slice on first use
+  // and every missing column.  The cache keeps just the |O|-double columns.
+  std::optional<PatternSlice> slice;
+  const auto pattern_slice = [&]() -> const PatternSlice& {
+    if (!slice) slice.emplace(*sim_, *logic_sim_, *lev_, pattern, clk_);
+    return *slice;
+  };
+  if (entry.collapse == nullptr) fill_collapse(entry, pattern_slice());
+  const CollapseSlice& cs = *entry.collapse;
+  const double* shared = cs.baseline.data();
+
+  // First pass: unsensitized suspects take the shared baseline column
+  // (no lookup, no build), cached ones their column; collect the rest.
   std::vector<std::size_t> missing;
   std::uint64_t hits = 0;
   for (std::size_t i = 0; i < suspects.size(); ++i) {
+    if (cs.active[suspects[i]] == 0) {
+      out[i] = shared;
+      continue;
+    }
     const auto it = entry.index.find(suspects[i]);
     if (it != entry.index.end()) {
       out[i] = entry.cols[it->second].get();
@@ -164,12 +183,9 @@ void SignatureCache::columns(const logicsim::PatternPair& pattern,
     hits_.fetch_add(hits, std::memory_order_relaxed);
     sig_cache_hits_counter().add(hits);
   }
-  if (missing.empty()) return;
+  if (missing.empty()) return shared;
 
-  // Build the missing columns through the same validated dictionary path
-  // the scalar diagnoser uses; the slice (baseline arrival matrix) lives
-  // only for this scope - the cache keeps just the |O|-double columns.
-  const PatternSlice slice(*sim_, *logic_sim_, *lev_, pattern, clk_);
+  // Build the missing columns through the validated dictionary path.
   std::vector<double> scratch;
   std::uint64_t built = 0;
   std::uint64_t built_bytes = 0;
@@ -186,9 +202,9 @@ void SignatureCache::columns(const logicsim::PatternPair& pattern,
     }
     const std::span<const double> sizes = sizes_for(suspect);
     if (match_e_) {
-      slice.e_column_into(suspect, sizes, scratch);
+      pattern_slice().e_column_into(suspect, sizes, scratch);
     } else {
-      slice.signature_column_into(suspect, sizes, scratch);
+      pattern_slice().signature_column_into(suspect, sizes, scratch);
     }
     const std::size_t n = scratch.size();
     Column col(static_cast<double*>(
@@ -199,7 +215,6 @@ void SignatureCache::columns(const logicsim::PatternPair& pattern,
     out[i] = entry.cols.back().get();
     ++built;
     built_bytes += n * sizeof(double);
-    n_outputs_.store(n, std::memory_order_release);
   }
   misses_.fetch_add(built, std::memory_order_relaxed);
   sig_cache_misses_counter().add(built);
@@ -212,6 +227,7 @@ void SignatureCache::columns(const logicsim::PatternPair& pattern,
     obs::Recorder::instance().record(obs::EventKind::kCacheMiss, "sig", built,
                                      built_bytes);
   }
+  return shared;
 }
 
 SignatureCache::Stats SignatureCache::stats() const {

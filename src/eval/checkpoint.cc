@@ -11,20 +11,12 @@
 #include <sstream>
 
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/faults.h"
 
 namespace sddd::eval {
 
 namespace {
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -129,10 +121,8 @@ bool parse_trial_status(std::string_view name, TrialStatus* out) {
 std::uint64_t experiment_fingerprint(const std::string& circuit_name,
                                      const ExperimentConfig& c) {
   // Serialize every knob that changes per-trial outcomes; hash the text.
-  // Timings, checkpoint/resume/deadline knobs - and use_score_kernel /
-  // collapse_unobservable, whose paths produce bit-identical results -
-  // are deliberately excluded: they change how a run executes, not what
-  // it computes.
+  // Timings and the checkpoint/resume/deadline knobs are deliberately
+  // excluded: they change how a run executes, not what it computes.
   std::ostringstream os;
   os << circuit_name << '|' << c.seed << '|' << c.n_chips << '|'
      << c.mc_samples << '|' << c.instance_samples << '|'
@@ -159,7 +149,7 @@ std::uint64_t experiment_fingerprint(const std::string& circuit_name,
      << double_hex(c.library.arity_factor) << ','
      << double_hex(c.library.load_slope) << ','
      << double_hex(c.library.three_sigma_pct);
-  return fnv1a(os.str());
+  return obs::fnv1a64(os.str());
 }
 
 std::string encode_checkpoint_record(std::size_t trial,
@@ -180,7 +170,7 @@ std::string encode_checkpoint_record(std::size_t trial,
   }
   os << " m=" << escape_message(r.error_message);
   const std::string payload = os.str();
-  return "T " + hex64(fnv1a(payload)) + ' ' + payload;
+  return "T " + hex64(obs::fnv1a64(payload)) + ' ' + payload;
 }
 
 bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
@@ -192,7 +182,7 @@ bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
     return false;
   }
   const std::string payload = line.substr(crc_end + 1);
-  if (fnv1a(payload) != crc) return false;
+  if (obs::fnv1a64(payload) != crc) return false;
 
   // The message field is "m=<rest of line>"; split it off first so the
   // stream below only sees whitespace-delimited scalars.
@@ -362,45 +352,14 @@ void CheckpointWriter::flush() {
   }
 }
 
-namespace {
-
-/// 17 significant digits: enough for an exact double round trip, so two
-/// runs that compute identical doubles print identical bytes.
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return std::string(buf);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using obs::json_double;
+using obs::json_string;
 
 void write_experiment_json(const ExperimentResult& result,
                            const std::string& path) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"circuit\": \"" << json_escape(result.circuit_name) << "\",\n";
+  os << "  \"circuit\": " << json_string(result.circuit_name) << ",\n";
   // The experiment fingerprint, doubling as the run id every introspection
   // artifact (manifest, explain report) carries: equal run ids = same
   // deterministic computation.  A pure function of (circuit, config), so
@@ -438,7 +397,7 @@ void write_experiment_json(const ExperimentResult& result,
        << trial_status_name(t.status) << "\"";
     if (t.status == TrialStatus::kQuarantined) {
       os << ", \"error_code\": \"" << error_code_name(t.error_code)
-         << "\", \"error\": \"" << json_escape(t.error_message) << "\"";
+         << "\", \"error\": " << json_string(t.error_message);
     }
     os << ", \"attempts\": " << t.injection_attempts
        << ", \"sample\": " << t.chip.sample_index

@@ -221,11 +221,10 @@ struct ExperimentSetup {
   // Detectability window for the injection gate (kDetectable).
   double detect_lo = 0.0;
   double detect_hi = 0.0;
-  // Shared suspect-column cache for the kernel scoring path.  Constructed
-  // unconditionally (it is empty and costs nothing until the first
-  // column); wired into the diagnoser only when config.use_score_kernel.
-  // Keyed by construction: its inputs are pure functions of
-  // (netlist, config), exactly what experiment_fingerprint() covers.
+  // Suspect-column cache shared by every trial's diagnosis (empty and free
+  // until the first column).  Keyed by construction: its inputs are pure
+  // functions of (netlist, config), exactly what experiment_fingerprint()
+  // covers.
   std::optional<diagnosis::SignatureCache> sig_cache;
 
   ExperimentSetup(const Netlist& nl_in, const ExperimentConfig& cfg)
@@ -442,8 +441,7 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.collapse_unobservable = config.collapse_unobservable;
-  if (config.use_score_kernel) diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &*S.sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
   const diagnosis::LogicBaselineDiagnoser logic_baseline(S.logic_sim, S.lev);
@@ -668,16 +666,10 @@ introspect::ExplanationReport explain_trial(const Netlist& nl,
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.collapse_unobservable = config.collapse_unobservable;
   diag_config.capture_phi = true;
-  if (config.use_score_kernel) diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &*S.sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
-  // Unlike the experiment loop (where trials are the outer parallel level
-  // and the suspect loop serializes beneath them), here the suspect loop
-  // IS the top parallel level, so the lazily-memoized delay rows must be
-  // materialized up front.
-  S.dict_sim.prewarm();
 
   std::vector<std::size_t> trials_to_try;
   if (request.trial.has_value()) {

@@ -83,21 +83,7 @@ struct ExperimentConfig {
   /// Match phi against the paper-literal signature S_crt = E - M instead
   /// of the default total failure probability E_crt (see DiagnoserConfig).
   bool match_on_signature = false;
-  /// Score through the packed kernel against a per-experiment
-  /// SignatureCache (suspect columns built once and shared across every
-  /// chip) instead of re-simulating per chip.  Scores, ranks and captured
-  /// phi are bit-identical either way, which is exactly why this knob is
-  /// EXCLUDED from experiment_fingerprint(): kernel and scalar runs of the
-  /// same experiment share run_ids/journals and their result JSON is
-  /// byte-comparable.  Off = the scalar reference path (`--no-kernel`).
-  bool use_score_kernel = true;
-  /// Collapse suspects a pattern does not sensitize onto one shared phi
-  /// evaluation per pattern (DiagnoserConfig::collapse_unobservable).
-  /// Scores, ranks and result JSON are byte-identical either way - the
-  /// collapsed column provably equals the baseline - so, like
-  /// use_score_kernel, this knob is EXCLUDED from experiment_fingerprint()
-  /// and ci.sh byte-compares collapsed vs uncollapsed result files; only
-  /// diag.phi_evals and per-pattern column work drop.  (`--collapse`.)
+  /// Ignored: collapse is always on.  Kept only because perfbench reads it.
   bool collapse_unobservable = false;
   /// Also run the traditional logic-domain baseline (gross-delay 0/1
   /// dictionary, Hamming matching) on every chip, for the paper's
@@ -186,8 +172,8 @@ struct PhaseBreakdown {
   double dict_build_cpu_seconds = 0.0;    ///< dictionary M + E columns
   double suspect_extract_cpu_seconds = 0.0;
   double score_cpu_seconds = 0.0;         ///< per-pattern phi scoring
-  /// Kernel-path split of score_cpu_seconds (both zero on the scalar
-  /// path): cached-column acquisition vs packed phi evaluation.
+  /// Split of score_cpu_seconds: column acquisition vs packed phi
+  /// evaluation.
   double score_column_build_cpu_seconds = 0.0;
   double score_phi_cpu_seconds = 0.0;
 
@@ -195,8 +181,8 @@ struct PhaseBreakdown {
   std::uint64_t dict_columns_built = 0;
   std::uint64_t phi_evals = 0;
   std::uint64_t pool_tasks = 0;
-  /// SignatureCache traffic (zero on the scalar path): column lookups
-  /// served cached / built fresh, and resident column bytes.
+  /// SignatureCache traffic: column lookups served cached / built fresh,
+  /// and resident column bytes.
   std::uint64_t sig_cache_hits = 0;
   std::uint64_t sig_cache_misses = 0;
   std::uint64_t sig_cache_bytes = 0;

@@ -8,6 +8,7 @@
 
 #include "diagnosis/dictionary.h"
 #include "diagnosis/resolution.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,6 +17,7 @@ namespace sddd::introspect {
 
 using diagnosis::Method;
 using netlist::ArcId;
+using obs::json_double;
 
 namespace {
 
@@ -40,36 +42,6 @@ obs::Counter& cells_counter() {
 /// Whether a method's score grows when any phi_j grows.  True for the
 /// Sim methods; Alg_rev's distance shrinks instead (and ranks low-first).
 bool score_increases_with_phi(Method m) { return m != Method::kRev; }
-
-/// 17 significant digits: exact double round trip, so identical doubles
-/// print identical bytes (mirrors the checkpoint JSON writer).
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return std::string(buf);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string interval_json(const Interval& iv) {
   return "[" + json_double(iv.lo) + ", " + json_double(iv.hi) + "]";
@@ -326,8 +298,8 @@ std::string to_json(const ExplanationReport& r) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"sddd-explain-v1\",\n";
-  os << "  \"circuit\": \"" << json_escape(r.circuit) << "\",\n";
-  os << "  \"run_id\": \"" << json_escape(r.run_id) << "\",\n";
+  os << "  \"circuit\": " << obs::json_string(r.circuit) << ",\n";
+  os << "  \"run_id\": " << obs::json_string(r.run_id) << ",\n";
   os << "  \"seed\": " << r.seed << ",\n";
   os << "  \"trial\": " << r.trial << ",\n";
   os << "  \"clk\": " << json_double(r.clk) << ",\n";

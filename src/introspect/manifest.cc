@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,28 +18,6 @@ obs::Counter& manifest_written_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().register_counter("introspect.manifests");
   return c;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -55,16 +34,13 @@ std::uint64_t fnv1a_file(const std::string& path, std::uint64_t* size_out) {
   if (!in) {
     throw IoError("manifest: cannot read input file " + path);
   }
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = obs::kPersistedFnvSeed;
   std::uint64_t bytes = 0;
   char buf[1 << 16];
   while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    for (std::streamsize i = 0; i < got; ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ULL;
-    }
-    bytes += static_cast<std::uint64_t>(got);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    h = obs::fnv1a64(std::string_view(buf, got), h);
+    bytes += got;
   }
   if (size_out != nullptr) *size_out = bytes;
   return h;
@@ -74,15 +50,15 @@ std::string manifest_to_json(const RunManifest& m) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"sddd-manifest-v1\",\n";
-  os << "  \"tool\": \"" << json_escape(m.tool) << "\",\n";
-  os << "  \"circuit\": \"" << json_escape(m.circuit) << "\",\n";
-  os << "  \"run_id\": \"" << json_escape(m.run_id) << "\",\n";
+  os << "  \"tool\": " << obs::json_string(m.tool) << ",\n";
+  os << "  \"circuit\": " << obs::json_string(m.circuit) << ",\n";
+  os << "  \"run_id\": " << obs::json_string(m.run_id) << ",\n";
   os << "  \"seed\": " << m.seed << ",\n";
   os << "  \"mc_samples\": " << m.mc_samples << ",\n";
   os << "  \"n_chips\": " << m.n_chips << ",\n";
   os << "  \"threads\": " << m.threads << ",\n";
-  os << "  \"git_sha\": \"" << json_escape(m.git_sha) << "\",\n";
-  os << "  \"faults\": \"" << json_escape(m.faults) << "\",\n";
+  os << "  \"git_sha\": " << obs::json_string(m.git_sha) << ",\n";
+  os << "  \"faults\": " << obs::json_string(m.faults) << ",\n";
   os << "  \"quarantined_trials\": " << m.quarantined_trials << ",\n";
   os << "  \"resumed_trials\": " << m.resumed_trials << ",\n";
   os << "  \"skipped_trials\": " << m.skipped_trials << ",\n";
@@ -90,17 +66,18 @@ std::string manifest_to_json(const RunManifest& m) {
   os << "  \"inputs\": [";
   for (std::size_t i = 0; i < m.inputs.size(); ++i) {
     const auto& f = m.inputs[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"path\": \""
-       << json_escape(f.path) << "\", \"fnv1a\": \"" << json_escape(f.fnv1a)
-       << "\", \"bytes\": " << f.bytes << "}";
+    os << (i == 0 ? "\n" : ",\n") << "    {\"path\": "
+       << obs::json_string(f.path)
+       << ", \"fnv1a\": " << obs::json_string(f.fnv1a)
+       << ", \"bytes\": " << f.bytes << "}";
   }
   os << (m.inputs.empty() ? "" : "\n  ") << "],\n";
   os << "  \"artifacts\": [";
   for (std::size_t i = 0; i < m.artifacts.size(); ++i) {
     const auto& a = m.artifacts[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"kind\": \""
-       << json_escape(a.kind) << "\", \"path\": \"" << json_escape(a.path)
-       << "\"}";
+    os << (i == 0 ? "\n" : ",\n") << "    {\"kind\": "
+       << obs::json_string(a.kind)
+       << ", \"path\": " << obs::json_string(a.path) << "}";
   }
   os << (m.artifacts.empty() ? "" : "\n  ") << "]\n";
   os << "}\n";

@@ -3,50 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/codec.h"
+
 namespace sddd::obs {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Minimal JSON string quoting (circuit names may carry anything).
-std::string json_escape(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out.append("\\\"");
-        break;
-      case '\\':
-        out.append("\\\\");
-        break;
-      case '\n':
-        out.append("\\n");
-        break;
-      case '\t':
-        out.append("\\t");
-        break;
-      case '\r':
-        out.append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 /// Prometheus metric-name charset: [a-zA-Z0-9_], everything else folds
 /// to '_'.  Prefixed "sddd_" (plus "win_" for windowed series).
@@ -58,15 +19,6 @@ std::string prom_name(std::string_view prefix, std::string_view name) {
     out.push_back(ok ? c : '_');
   }
   return out;
-}
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -159,9 +111,9 @@ std::vector<SlowRequest> SlowRequestRing::top() const {
 
 std::string stats_to_json(const StatsSnapshot& s) {
   std::string out = "{\"ok\":true,\"op\":\"stats\"";
-  out.append(",\"service\":").append(json_escape(s.service));
-  out.append(",\"git_sha\":").append(json_escape(s.git_sha));
-  out.append(",\"uptime_s\":").append(format_double(s.uptime_s));
+  out.append(",\"service\":").append(json_string(s.service));
+  out.append(",\"git_sha\":").append(json_string(s.git_sha));
+  out.append(",\"uptime_s\":").append(json_double(s.uptime_s));
   out.append(",\"draining\":").append(s.draining ? "true" : "false");
   out.append(",\"inflight\":").append(std::to_string(s.inflight));
   out.append(",\"counters\":{");
@@ -169,15 +121,15 @@ std::string stats_to_json(const StatsSnapshot& s) {
   for (const auto& [name, v] : s.counters) {
     if (!first) out.push_back(',');
     first = false;
-    out.append(json_escape(name)).append(":").append(std::to_string(v));
+    out.append(json_string(name)).append(":").append(std::to_string(v));
   }
   out.append("},\"window\":").append(s.window.to_json());
   out.append(",\"slow\":[");
   for (std::size_t i = 0; i < s.slow.size(); ++i) {
     const SlowRequest& r = s.slow[i];
     if (i > 0) out.push_back(',');
-    out.append("{\"trace_id\":").append(json_escape(r.trace_id));
-    out.append(",\"circuit\":").append(json_escape(r.circuit));
+    out.append("{\"trace_id\":").append(json_string(r.trace_id));
+    out.append(",\"circuit\":").append(json_string(r.circuit));
     out.append(",\"batch\":").append(std::to_string(r.batch));
     out.append(",\"total_us\":").append(std::to_string(r.total_us));
     out.append(",\"phases\":{");
@@ -185,7 +137,7 @@ std::string stats_to_json(const StatsSnapshot& s) {
     for (const auto& [phase, us] : r.phases_us) {
       if (!p_first) out.push_back(',');
       p_first = false;
-      out.append(json_escape(phase)).append(":").append(std::to_string(us));
+      out.append(json_string(phase)).append(":").append(std::to_string(us));
     }
     out.append("}}");
   }
@@ -199,7 +151,7 @@ std::string stats_to_prometheus(const StatsSnapshot& s) {
     out.append("# TYPE ").append(name).append(" gauge\n");
     out.append(name).append(" ").append(v).append("\n");
   };
-  gauge(prom_name("sddd_", "uptime_seconds"), format_double(s.uptime_s));
+  gauge(prom_name("sddd_", "uptime_seconds"), json_double(s.uptime_s));
   gauge(prom_name("sddd_", "draining"), s.draining ? "1" : "0");
   gauge(prom_name("sddd_", "inflight"), std::to_string(s.inflight));
   for (const auto& [name, v] : s.counters) {
@@ -219,7 +171,7 @@ std::string stats_to_prometheus(const StatsSnapshot& s) {
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       cumulative += h.counts[i];
       out.append(p).append("_bucket{le=\"");
-      out.append(i < h.bounds.size() ? format_double(h.bounds[i]) : "+Inf");
+      out.append(i < h.bounds.size() ? json_double(h.bounds[i]) : "+Inf");
       out.append("\"} ").append(std::to_string(cumulative)).append("\n");
     }
     out.append(p).append("_sum ").append(std::to_string(h.sum)).append("\n");

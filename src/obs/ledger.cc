@@ -15,40 +15,12 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/codec.h"
 #include "obs/log.h"
 
 namespace sddd::obs {
 
 namespace {
-
-void append_escaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 std::string format_double(double v) {
   char buf[40];
@@ -234,15 +206,6 @@ constexpr std::size_t kCrcHexLen = 16;
 
 }  // namespace
 
-std::uint64_t ledger_fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 std::string ledger_hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -257,7 +220,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   p.append("\"v\":").append(std::to_string(rec.version));
   const auto field = [&p](const char* name, std::string_view value) {
     p.append(",\"").append(name).append("\":");
-    append_escaped(&p, value);
+    append_json_string(p, value);
   };
   const auto u64_field = [&p](const char* name, std::uint64_t value) {
     p.append(",\"").append(name).append("\":").append(std::to_string(value));
@@ -281,7 +244,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   for (const auto& [name, seconds] : rec.phases) {
     if (!first) p.push_back(',');
     first = false;
-    append_escaped(&p, name);
+    append_json_string(p, name);
     p.push_back(':');
     p.append(format_double(seconds));
   }
@@ -290,7 +253,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   for (const auto& [name, value] : rec.counters) {
     if (!first) p.push_back(',');
     first = false;
-    append_escaped(&p, name);
+    append_json_string(p, name);
     p.push_back(':');
     p.append(std::to_string(value));
   }
@@ -305,7 +268,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   std::string line;
   line.reserve(p.size() + 32);
   line.append(kCrcPrefix);
-  line.append(ledger_hex64(ledger_fnv1a64(p)));
+  line.append(ledger_hex64(fnv1a64(p)));
   line.append("\",");
   line.append(p);
   return line;
@@ -319,7 +282,7 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
   const std::string_view crc_hex = line.substr(kCrcPrefix.size(), kCrcHexLen);
   if (line.substr(kCrcPrefix.size() + kCrcHexLen, 2) != "\",") return false;
   const std::string_view payload = line.substr(payload_at);
-  if (ledger_hex64(ledger_fnv1a64(payload)) != crc_hex) return false;
+  if (ledger_hex64(fnv1a64(payload)) != crc_hex) return false;
 
   // Parse the payload as an (opening-brace-less) JSON object body.
   LedgerRecord rec;
@@ -456,7 +419,7 @@ std::string new_invocation_run_id(std::string_view tool,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count()));
-  return ledger_hex64(ledger_fnv1a64(seed));
+  return ledger_hex64(fnv1a64(seed));
 }
 
 std::uint64_t read_peak_rss_kb() {
@@ -614,25 +577,25 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
   std::string j;
   j.reserve(1024);
   j.append("{\n  \"run_a\": ");
-  append_escaped(&j, d.run_a);
+  append_json_string(j, d.run_a);
   j.append(",\n  \"run_b\": ");
-  append_escaped(&j, d.run_b);
+  append_json_string(j, d.run_b);
   j.append(",\n  \"tool_a\": ");
-  append_escaped(&j, d.tool_a);
+  append_json_string(j, d.tool_a);
   j.append(",\n  \"tool_b\": ");
-  append_escaped(&j, d.tool_b);
+  append_json_string(j, d.tool_b);
   j.append(",\n  \"circuit_a\": ");
-  append_escaped(&j, d.circuit_a);
+  append_json_string(j, d.circuit_a);
   j.append(",\n  \"circuit_b\": ");
-  append_escaped(&j, d.circuit_b);
+  append_json_string(j, d.circuit_b);
   j.append(",\n  \"git_sha_a\": ");
-  append_escaped(&j, d.sha_a);
+  append_json_string(j, d.sha_a);
   j.append(",\n  \"git_sha_b\": ");
-  append_escaped(&j, d.sha_b);
+  append_json_string(j, d.sha_b);
   j.append(",\n  \"bench_a\": ");
-  append_escaped(&j, d.bench_a);
+  append_json_string(j, d.bench_a);
   j.append(",\n  \"bench_b\": ");
-  append_escaped(&j, d.bench_b);
+  append_json_string(j, d.bench_b);
   j.append(",\n  \"clients_a\": ").append(std::to_string(d.clients_a));
   j.append(",\n  \"clients_b\": ").append(std::to_string(d.clients_b));
   j.append(",\n  \"batch_a\": ").append(std::to_string(d.batch_a));
@@ -649,7 +612,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
     if (!first) j.push_back(',');
     first = false;
     j.append("\n    ");
-    append_escaped(&j, row.name);
+    append_json_string(j, row.name);
     j.append(": {\"a\": ").append(format_double(row.a));
     j.append(", \"b\": ").append(format_double(row.b));
     j.append(", \"delta\": ").append(format_double(row.b - row.a));
@@ -663,7 +626,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
     if (!first) j.push_back(',');
     first = false;
     j.append("\n    ");
-    append_escaped(&j, row.name);
+    append_json_string(j, row.name);
     j.append(": {\"a\": ").append(std::to_string(row.a));
     j.append(", \"b\": ").append(std::to_string(row.b));
     j.append(", \"delta\": ")
@@ -673,7 +636,7 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
   }
   j.append(first ? "}" : "\n  }");
   j.append(",\n  \"rank_stability\": ");
-  append_escaped(&j, d.rank_stability);
+  append_json_string(j, d.rank_stability);
   j.append("\n}\n");
   return j;
 }

@@ -65,9 +65,6 @@ struct LedgerRecord {
   std::uint64_t unix_ms = 0;      ///< wall clock at append; NOT compared.
 };
 
-/// FNV-1a 64-bit over `bytes` (same parameters as the checkpoint journal).
-std::uint64_t ledger_fnv1a64(std::string_view bytes);
-
 /// Lower-case 16-hex rendering of `v`.
 std::string ledger_hex64(std::uint64_t v);
 

@@ -23,9 +23,9 @@
 // Tracer::instance().enable() directly.
 //
 // Span names are static strings, dot-namespaced by subsystem
-// ("dict.slice", "diag.pattern", "pool.run", "exp.trial", ...; catalog in
-// DESIGN.md section 9).  Up to 4 args per span carry identifying context
-// (circuit, suspect id, pattern index).
+// ("dict.slice", "diag.kernel.pattern", "pool.run", "exp.trial", ...;
+// catalog in DESIGN.md section 9).  Up to 4 args per span carry
+// identifying context (circuit, suspect id, pattern index).
 #pragma once
 
 #include <array>

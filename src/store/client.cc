@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/expo.h"
 #include "obs/metrics.h"
@@ -73,16 +74,10 @@ std::string mint_client_trace_id() {
   static std::atomic<std::uint64_t> counter{0};
   // FNV-1a over (pid, now, counter): unique enough across concurrent load
   // generators, and never needs coordination.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(::getpid()));
-  mix(obs::now_ns());
-  mix(counter.fetch_add(1));
+  std::uint64_t h = obs::kPersistedFnvSeed;
+  h = obs::fnv1a64_word(h, static_cast<std::uint64_t>(::getpid()));
+  h = obs::fnv1a64_word(h, obs::now_ns());
+  h = obs::fnv1a64_word(h, counter.fetch_add(1));
   return obs::hex16(h);
 }
 
@@ -158,12 +153,12 @@ std::string make_diagnose_request(const std::string& store_selector,
                                   const std::string& trace_id) {
   std::string out = "{\"op\":\"diagnose\"";
   if (!trace_id.empty()) {
-    out.append(",\"trace_id\":").append(json_quote(trace_id));
+    out.append(",\"trace_id\":").append(obs::json_string(trace_id));
   }
   if (!store_selector.empty()) {
-    out.append(",\"store\":").append(json_quote(store_selector));
+    out.append(",\"store\":").append(obs::json_string(store_selector));
   }
-  out.append(",\"match\":").append(json_quote(match));
+  out.append(",\"match\":").append(obs::json_string(match));
   out.append(",\"top\":").append(std::to_string(top_k));
   if (deadline_ms > 0) {
     out.append(",\"deadline_ms\":").append(std::to_string(deadline_ms));
@@ -171,7 +166,7 @@ std::string make_diagnose_request(const std::string& store_selector,
   out.append(",\"chips\":[");
   for (std::size_t c = 0; c < chips.size(); ++c) {
     if (c > 0) out.push_back(',');
-    out.append("{\"id\":").append(json_quote(chips[c].id));
+    out.append("{\"id\":").append(obs::json_string(chips[c].id));
     out.append(",\"b\":[");
     const diagnosis::BehaviorMatrix& B = chips[c].B;
     for (std::size_t i = 0; i < B.output_count(); ++i) {

@@ -1,16 +1,13 @@
 #include "store/query.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "diagnosis/error_fn.h"
 #include "diagnosis/score_kernel.h"
+#include "obs/codec.h"
 #include "obs/error.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "runtime/cancel.h"
-#include "runtime/parallel_for.h"
 
 namespace sddd::store {
 
@@ -19,59 +16,29 @@ using netlist::ArcId;
 
 namespace {
 
-// The diagnoser's own suspect tally; store-served diagnoses account into
-// the same counter so ledgers stay comparable across transports.
-obs::Counter& diag_suspects_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().register_counter("diag.suspects");
-  return c;
-}
+/// The engine's column source: the stored E (or S) section, one column
+/// per suspect (the store keeps no shared baseline).
+class StoreColumns final : public diagnosis::ColumnSource {
+ public:
+  StoreColumns(const DictionaryStore& st, bool match_on_total_probability)
+      : st_(&st), match_e_(match_on_total_probability) {}
 
-std::string json_double(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  return buf;
-}
-
-void append_escaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+  const double* columns(std::size_t j, std::span<const ArcId> suspects,
+                        std::vector<const double*>& out) const override {
+    out.resize(suspects.size());
+    for (std::size_t s = 0; s < suspects.size(); ++s) {
+      out[s] = match_e_ ? st_->e_column(j, suspects[s])
+                        : st_->s_column(j, suspects[s]);
     }
+    return nullptr;
   }
-  out->push_back('"');
-}
+
+ private:
+  const DictionaryStore* st_;
+  bool match_e_;
+};
 
 }  // namespace
-
-std::string json_quote(const std::string& s) {
-  std::string out;
-  append_escaped(&out, s);
-  return out;
-}
 
 std::vector<ArcId> StoreQueryEngine::extract_suspects(
     const diagnosis::BehaviorMatrix& B) const {
@@ -87,19 +54,7 @@ std::vector<ArcId> StoreQueryEngine::extract_suspects(
       }
     }
   }
-  std::vector<ArcId> suspects;
-  for (ArcId a = 0; a < n_arcs; ++a) {
-    if (support[a] > 0) suspects.push_back(a);
-  }
-  const std::size_t max_suspects = st.max_suspects();
-  if (max_suspects > 0 && suspects.size() > max_suspects) {
-    std::stable_sort(suspects.begin(), suspects.end(),
-                     [&](ArcId a, ArcId b) { return support[a] > support[b]; });
-    suspects.resize(max_suspects);
-    std::sort(suspects.begin(), suspects.end());
-  }
-  diag_suspects_counter().add(suspects.size());
-  return suspects;
+  return diagnosis::select_suspects(support, st.max_suspects());
 }
 
 diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
@@ -119,59 +74,8 @@ diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
   result.methods.assign(methods.begin(), methods.end());
   result.suspects = extract_suspects(B);
   result.mc_samples = st.mc_samples();
-
-  const std::size_t n_suspects = result.suspects.size();
-  const std::size_t n_patterns = st.n_patterns();
-  const std::size_t n_outputs = st.n_outputs();
-  if (capture_phi) {
-    result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
-  }
-  std::vector<std::vector<diagnosis::ScoreAccumulator>> acc;
-  acc.reserve(methods.size());
-  for (const Method m : methods) {
-    acc.emplace_back(n_suspects, diagnosis::ScoreAccumulator(m));
-  }
-
-  // The diagnoser's kernel scoring loop verbatim, with the cache lookups
-  // replaced by pointers into the mapping: per pattern, pack B's column,
-  // gather the suspect columns, phi_block over chunks whose boundaries
-  // depend only on (n, grain).  add_phi runs in pattern-major suspect
-  // order - scores and keys are bit-identical at any thread count.
-  std::vector<const double*> cols(n_suspects);
-  std::vector<double> phi_row(n_suspects);
-  diagnosis::PackedBColumn b;
-  for (std::size_t j = 0; j < n_patterns; ++j) {
-    for (std::size_t s = 0; s < n_suspects; ++s) {
-      cols[s] = match_on_total_probability
-                    ? st.e_column(j, result.suspects[s])
-                    : st.s_column(j, result.suspects[s]);
-    }
-    b.pack(B, j);
-    runtime::parallel_for_chunked(
-        n_suspects, 64, [&](std::size_t lo, std::size_t hi) {
-          diagnosis::phi_block(cols.data() + lo, hi - lo, n_outputs, b,
-                               phi_row.data() + lo);
-          for (std::size_t s = lo; s < hi; ++s) {
-            if (capture_phi) result.phi[s][j] = phi_row[s];
-            for (auto& method_acc : acc) method_acc[s].add_phi(phi_row[s]);
-          }
-        });
-    diagnosis::note_phi_evals(n_suspects);
-    diagnosis::note_kernel_pattern(n_suspects);
-  }
-
-  result.scores.resize(methods.size());
-  result.keys.resize(methods.size());
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    result.scores[m].resize(n_suspects);
-    result.keys[m].resize(n_suspects);
-    for (std::size_t s = 0; s < n_suspects; ++s) {
-      result.scores[m][s] = acc[m][s].finish(n_patterns);
-      result.keys[m][s] = acc[m][s].ranking_key(n_patterns);
-    }
-  }
-  obs::Recorder::instance().record(obs::EventKind::kDiagnose, "",
-                                   B.failure_count(), n_suspects, n_patterns);
+  diagnosis::score_suspects(StoreColumns(st, match_on_total_probability), B,
+                            capture_phi, result);
   return result;
 }
 
@@ -213,9 +117,9 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
   const DictionaryStore& st = engine.store();
   std::string out;
   out.append("{\"ok\":true,\"op\":\"diagnose\",\"run_id\":");
-  append_escaped(&out, st.run_id());
+  obs::append_json_string(out, st.run_id());
   out.append(",\"circuit\":");
-  append_escaped(&out, st.circuit());
+  obs::append_json_string(out, st.circuit());
   out.append(",\"match\":\"").push_back(match_on_total_probability ? 'e' : 's');
   out.append("\",\"mc_samples\":").append(std::to_string(st.mc_samples()));
   out.append(",\"n_patterns\":").append(std::to_string(st.n_patterns()));
@@ -227,14 +131,14 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
         chips[c].B, kMethods, match_on_total_probability,
         /*capture_phi=*/true);
     out.append("{\"id\":");
-    append_escaped(&out, chips[c].id);
+    obs::append_json_string(out, chips[c].id);
     out.append(",\"n_suspects\":")
         .append(std::to_string(result.suspects.size()));
     out.append(",\"methods\":{");
     std::set<ArcId> reported;
     for (std::size_t m = 0; m < std::size(kMethods); ++m) {
       if (m > 0) out.push_back(',');
-      append_escaped(&out, std::string(diagnosis::method_name(kMethods[m])));
+      obs::append_json_string(out, diagnosis::method_name(kMethods[m]));
       out.append(":[");
       const auto ranked = result.ranked(kMethods[m]);
       const std::size_t limit =
@@ -249,8 +153,8 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
                       ranked[r].arc) -
             result.suspects.begin());
         out.append("{\"arc\":").append(std::to_string(ranked[r].arc));
-        out.append(",\"score\":").append(json_double(ranked[r].score));
-        out.append(",\"key\":").append(json_double(result.keys[m][s]));
+        out.append(",\"score\":").append(obs::json_double(ranked[r].score));
+        out.append(",\"key\":").append(obs::json_double(result.keys[m][s]));
         out.push_back('}');
       }
       out.push_back(']');
@@ -263,11 +167,11 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
       const auto s = static_cast<std::size_t>(
           std::find(result.suspects.begin(), result.suspects.end(), a) -
           result.suspects.begin());
-      append_escaped(&out, std::to_string(a));
+      obs::append_json_string(out, std::to_string(a));
       out.append(":[");
       for (std::size_t j = 0; j < result.phi[s].size(); ++j) {
         if (j > 0) out.push_back(',');
-        out.append(json_double(result.phi[s][j]));
+        out.append(obs::json_double(result.phi[s][j]));
       }
       out.append("]");
     }

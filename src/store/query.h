@@ -1,16 +1,16 @@
 // query.h - Diagnosing chips straight out of a memory-mapped store.
 //
-// StoreQueryEngine is the Diagnoser's scoring path re-rooted onto
-// DictionaryStore: suspect extraction walks the stored per-(pattern,
-// output) cone bitsets with the diagnoser's exact support/cap algorithm,
-// and scoring feeds the stored E (or S) columns through the same packed
-// phi_block() kernel into the same ScoreAccumulators in the same pattern
-// order.  Because the store's columns were produced by the identical
-// PatternSlice code paths and are raw doubles, the engine's scores, keys,
-// ranks and captured phi are BIT-IDENTICAL to an in-process
-// Diagnoser::diagnose() over a freshly built dictionary at the store's
-// config - the byte-identity contract ci.sh enforces end to end through
-// the serve path.
+// StoreQueryEngine is the Diagnoser re-rooted onto DictionaryStore:
+// suspect extraction walks the stored per-(pattern, output) cone bitsets
+// and selects through the diagnoser's select_suspects(), and scoring is
+// the diagnoser's own loop, diagnosis::score_suspects(), with the stored
+// E (or S) columns as its column source.  Because the store's columns were
+// produced by the identical PatternSlice code paths and are raw doubles,
+// the engine's scores, keys, ranks and captured phi are BIT-IDENTICAL to
+// an in-process Diagnoser::diagnose() over a freshly built dictionary at
+// the store's config - the byte-identity contract ci.sh enforces end to
+// end through the serve path.  The engine scores on the caller's thread;
+// the server already runs one request per connection thread.
 //
 // diagnose_batch_json() is the single response renderer: `sddd_cli dict
 // query` (in-process) and the serve loop both emit its bytes verbatim, so
@@ -59,10 +59,6 @@ struct ChipQuery {
   std::string id;  ///< caller-chosen label, echoed back
   diagnosis::BehaviorMatrix B{0, 0};
 };
-
-/// JSON string literal (quotes + escapes) of `s`; shared by every serve
-/// JSON renderer so equal strings always render byte-identically.
-std::string json_quote(const std::string& s);
 
 /// Parses behavior rows ("0101..." per output, column j = pattern j) into
 /// a BehaviorMatrix; throws sddd::ParseError on any dimension or character

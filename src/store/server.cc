@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/expo.h"
 #include "obs/faults.h"
@@ -91,9 +92,9 @@ obs::Histogram& serve_request_us_histogram() {
 
 std::string error_json(const std::string& code, const std::string& message) {
   std::string out = "{\"ok\":false,\"error\":";
-  out.append(json_quote(code));
+  out.append(obs::json_string(code));
   out.append(",\"message\":");
-  out.append(json_quote(message));
+  out.append(obs::json_string(message));
   out.push_back('}');
   return out;
 }
@@ -528,7 +529,7 @@ std::string DiagnosisServer::stats_json(const std::string& format) const {
   if (format == "prom") {
     std::string out =
         "{\"ok\":true,\"op\":\"stats\",\"format\":\"prom\",\"text\":";
-    out.append(json_quote(obs::stats_to_prometheus(snap)));
+    out.append(obs::json_string(obs::stats_to_prometheus(snap)));
     out.push_back('}');
     return out;
   }
@@ -543,12 +544,12 @@ std::string DiagnosisServer::health_json() const {
     const StoreState& s = stores_[i].state;
     if (s.quarantined) degraded = true;
     if (i > 0) out.push_back(',');
-    out.append("{\"path\":").append(json_quote(s.path));
-    out.append(",\"run_id\":").append(json_quote(s.run_id));
-    out.append(",\"circuit\":").append(json_quote(s.circuit));
+    out.append("{\"path\":").append(obs::json_string(s.path));
+    out.append(",\"run_id\":").append(obs::json_string(s.run_id));
+    out.append(",\"circuit\":").append(obs::json_string(s.circuit));
     out.append(",\"state\":")
         .append(s.quarantined ? "\"quarantined\"" : "\"serving\"");
-    out.append(",\"error\":").append(json_quote(s.error));
+    out.append(",\"error\":").append(obs::json_string(s.error));
     out.push_back('}');
   }
   out.append("],\"degraded\":").append(degraded ? "true" : "false");

@@ -22,7 +22,7 @@
 #include "obs/atomic_file.h"
 #include "obs/error.h"
 #include "obs/faults.h"
-#include "obs/ledger.h"
+#include "obs/codec.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "paths/transition_graph.h"
@@ -117,8 +117,7 @@ struct Reader {
 };
 
 std::uint64_t fnv1a(const unsigned char* p, std::uint64_t n) {
-  return obs::ledger_fnv1a64(
-      std::string_view(reinterpret_cast<const char*>(p), n));
+  return obs::fnv1a64(std::string_view(reinterpret_cast<const char*>(p), n));
 }
 
 std::uint64_t padded_to(std::uint64_t offset, std::uint64_t align) {
@@ -235,7 +234,7 @@ std::uint64_t store_fingerprint(const netlist::Netlist& nl,
     for (const bool b : p.v1) tail.push_back(b ? '\1' : '\0');
     for (const bool b : p.v2) tail.push_back(b ? '\1' : '\0');
   }
-  return obs::ledger_fnv1a64(tail);
+  return obs::fnv1a64(tail);
 }
 
 void pack_pattern_bits(const logicsim::Pattern& v, std::size_t words,
@@ -396,9 +395,9 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     out.append(name);
     put_u64(&out, offsets[s]);
     put_u64(&out, payloads[s].size());
-    put_u64(&out, obs::ledger_fnv1a64(payloads[s]));
+    put_u64(&out, obs::fnv1a64(payloads[s]));
   }
-  put_u64(&out, obs::ledger_fnv1a64(out));
+  put_u64(&out, obs::fnv1a64(out));
   for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
     out.resize(offsets[s], '\0');  // alignment padding
     out.append(payloads[s]);

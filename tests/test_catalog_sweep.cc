@@ -16,6 +16,16 @@
 #include "timing/dynamic_sim.h"
 
 namespace sddd {
+namespace netlist {
+
+// Print a profile parameter by its circuit name rather than its address, so
+// the discovered test names are the same in every build (found through ADL).
+static void PrintTo(const IscasProfile* profile, std::ostream* os) {
+  *os << profile->name;
+}
+
+}  // namespace netlist
+
 namespace {
 
 using netlist::ArcId;

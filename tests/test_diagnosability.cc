@@ -1,7 +1,7 @@
 // Tests for the static diagnosability analysis (DIAG001..DIAG006): the
 // sensitization facts (ambiguity groups, dominance, dead arcs, redundant
 // patterns, coverage), the DIAG rule pack and its DICT005 cross-link, the
-// machine-readable report, and the suspect-collapse optimization that the
+// machine-readable report, and the suspect collapse that the
 // diagnosability report licenses (bit-identical ranks, fewer phi evals).
 #include <gtest/gtest.h>
 
@@ -276,10 +276,12 @@ TEST(SensitizationFacts, RequiresFrozenNetlist) {
   EXPECT_THROW(compute_sensitization_facts(subject), std::invalid_argument);
 }
 
-// Suspect collapse (the optimization the diagnosability report licenses):
-// ranks, suspects and clk are bit-identical with collapse on or off, on
-// the kernel and scalar paths, at 1 and 4 threads - only diag.phi_evals
-// drops.
+// Suspect collapse (the optimization the diagnosability report licenses),
+// always on: every pattern's unsensitized suspects share one phi
+// evaluation, so diag.phi_evals stays below one per (suspect, pattern),
+// and ranks are bit-identical at 1 and 4 threads.  (The column-level
+// check - no column built for an unsensitized suspect - is
+// SignatureCache.NoColumnBuiltForUnsensitizedSuspects.)
 TEST(SuspectCollapse, BitIdenticalRanksWithFewerPhiEvals) {
   netlist::SynthSpec spec;
   spec.name = "collapseckt";
@@ -299,39 +301,30 @@ TEST(SuspectCollapse, BitIdenticalRanksWithFewerPhiEvals) {
   config.seed = 11;
 
   const std::size_t before = runtime::thread_count();
-  const auto baseline = eval::run_diagnosis_experiment(nl, config);
-  ASSERT_GT(baseline.diagnosable_trials(), 0u);
+  runtime::set_thread_count(1);
+  const auto serial = eval::run_diagnosis_experiment(nl, config);
+  runtime::set_thread_count(4);
+  const auto parallel = eval::run_diagnosis_experiment(nl, config);
+  runtime::set_thread_count(before);
+  ASSERT_GT(serial.diagnosable_trials(), 0u);
 
-  struct Variant {
-    bool kernel;
-    bool collapse;
-    std::size_t threads;
-  };
-  const Variant variants[] = {{true, true, 1},
-                              {true, true, 4},
-                              {false, true, 1},
-                              {false, true, 4}};
-  for (const Variant& variant : variants) {
-    auto vc = config;
-    vc.use_score_kernel = variant.kernel;
-    vc.collapse_unobservable = variant.collapse;
-    runtime::set_thread_count(variant.threads);
-    const auto r = eval::run_diagnosis_experiment(nl, vc);
-    runtime::set_thread_count(before);
-    ASSERT_EQ(r.trials.size(), baseline.trials.size());
-    EXPECT_DOUBLE_EQ(r.clk, baseline.clk);
-    for (std::size_t i = 0; i < r.trials.size(); ++i) {
-      EXPECT_EQ(r.trials[i].chip.defect_arc,
-                baseline.trials[i].chip.defect_arc);
-      EXPECT_EQ(r.trials[i].n_suspects, baseline.trials[i].n_suspects);
-      EXPECT_EQ(r.trials[i].rank_of_true, baseline.trials[i].rank_of_true);
-      EXPECT_EQ(r.trials[i].logic_baseline_rank,
-                baseline.trials[i].logic_baseline_rank);
-    }
-    // Collapse exists to cut scoring work: every pattern's unsensitized
-    // suspects share one phi evaluation instead of one each.
-    EXPECT_LT(r.phases.phi_evals, baseline.phases.phi_evals);
-    EXPECT_GT(r.phases.phi_evals, 0u);
+  ASSERT_EQ(parallel.trials.size(), serial.trials.size());
+  EXPECT_DOUBLE_EQ(parallel.clk, serial.clk);
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
+    const auto& s = serial.trials[i];
+    const auto& p = parallel.trials[i];
+    EXPECT_EQ(p.chip.defect_arc, s.chip.defect_arc);
+    EXPECT_EQ(p.n_suspects, s.n_suspects);
+    EXPECT_EQ(p.rank_of_true, s.rank_of_true);
+    EXPECT_EQ(p.logic_baseline_rank, s.logic_baseline_rank);
+    if (s.failed_test) pairs += s.n_suspects * s.n_patterns;
+  }
+  for (const auto* r : {&serial, &parallel}) {
+    EXPECT_GT(r->phases.phi_evals, 0u);
+    EXPECT_LT(r->phases.phi_evals, pairs);
+    // Columns are built for sensitized pairs only.
+    EXPECT_LT(r->phases.sig_cache_misses, pairs);
   }
 }
 

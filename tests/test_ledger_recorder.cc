@@ -4,6 +4,7 @@
 // cross-link the experiment run_id), plus the histogram quantile
 // estimators the postmortem metrics snapshot relies on.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -31,8 +32,11 @@ struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
 
+/// Per-process scratch path: this file is built into both the main test
+/// binary and the ledger/recorder smoke binary, which ctest may run at once.
 std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
+  return std::filesystem::path(::testing::TempDir()) /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 std::string slurp(const std::filesystem::path& path) {

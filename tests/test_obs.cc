@@ -1,10 +1,12 @@
 // Tests for the observability subsystem (src/obs/): deterministic metric
 // merges across thread counts, histogram bucket boundaries, trace JSON
 // well-formedness, zero-cost disabled paths, contract OBS001, log gating,
-// and the per-phase breakdown recorded by the experiment driver.
+// the shared codec (FNV-1a, JSON strings, %.17g doubles) and the per-phase
+// breakdown recorded by the experiment driver.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "eval/experiment.h"
 #include "netlist/synth.h"
 #include "obs/check.h"
+#include "obs/codec.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -179,6 +182,62 @@ class JsonValidator {
   std::string_view s_;
   std::size_t pos_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Codec: every persisted hash and rendered string goes through these.
+
+TEST(ObsCodec, Fnv1aMatchesReferenceVectors) {
+  // Standard FNV-1a-64 vectors under the standard offset basis.
+  EXPECT_EQ(obs::fnv1a64("", obs::kFnv1aOffset), obs::kFnv1aOffset);
+  EXPECT_EQ(obs::fnv1a64("a", obs::kFnv1aOffset), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(obs::fnv1a64("foobar", obs::kFnv1aOffset), 0x85944171f73967e8ULL);
+  // The persisted seed is the default; pinned, because every journal,
+  // ledger and store on disk depends on it.
+  EXPECT_EQ(obs::fnv1a64(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(obs::fnv1a64("sddd"), 0x5c0bde2cb1bbeba4ULL);
+  // Streaming: continuing from a prefix's hash equals hashing the whole.
+  EXPECT_EQ(obs::fnv1a64("bar", obs::fnv1a64("foo")), obs::fnv1a64("foobar"));
+  // A word folds its bytes least significant first.
+  const std::string_view le_bytes("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
+  EXPECT_EQ(obs::fnv1a64_word(obs::kFnv1aOffset, 0x0807060504030201ULL),
+            obs::fnv1a64(le_bytes, obs::kFnv1aOffset));
+  std::uint64_t h = obs::kFnv1aOffset;
+  for (const char c : std::string_view("foobar")) {
+    h = obs::fnv1a_step(h, static_cast<std::uint8_t>(c));
+  }
+  EXPECT_EQ(h, 0x85944171f73967e8ULL);
+}
+
+TEST(ObsCodec, JsonStringEscapesEveryControlCharacter) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int c = 0; c < 0x20; ++c) {
+    std::string want = "\\u00";
+    want += kHex[c >> 4];
+    want += kHex[c & 15];
+    if (c == '\n') want = "\\n";
+    if (c == '\t') want = "\\t";
+    if (c == '\r') want = "\\r";
+    EXPECT_EQ(obs::json_string(std::string(1, static_cast<char>(c))),
+              "\"" + want + "\"")
+        << "control character " << c;
+  }
+  EXPECT_EQ(obs::json_string("a\"b\\c/"), "\"a\\\"b\\\\c/\"");
+  // Everything from 0x20 up, DEL and UTF-8 bytes included, passes through.
+  EXPECT_EQ(obs::json_string("\x20~\x7f\xc3\xa9"), "\"\x20~\x7f\xc3\xa9\"");
+  std::string out = "x:";
+  obs::append_json_string(out, "y");
+  EXPECT_EQ(out, "x:\"y\"");
+}
+
+TEST(ObsCodec, JsonDoubleIsSeventeenSignificantDigits) {
+  EXPECT_EQ(obs::json_double(0.1), "0.10000000000000001");
+  EXPECT_EQ(obs::json_double(43.0), "43");
+  EXPECT_EQ(obs::json_double(1132.7799999999997), "1132.7799999999997");
+  EXPECT_EQ(obs::json_double(-0.0), "-0");
+  for (const double v : {1.0 / 3.0, 6.02214076e23, -2.5e-300, 4.9e-324}) {
+    EXPECT_EQ(std::strtod(obs::json_double(v).c_str(), nullptr), v) << v;
+  }
+}
 
 // ---------------------------------------------------------------------------
 

@@ -1,7 +1,8 @@
-// Tests for the packed scoring kernel and the signature-column cache: the
-// kernel's contract is BIT-IDENTITY with the scalar phi()/diagnose() path
-// (score_kernel.h states the argument; these tests enforce it), so every
-// floating-point comparison here is exact equality, never a tolerance.
+// Tests for the packed scoring kernel, the scoring loop and the
+// signature-column cache: the contract is BIT-IDENTITY with the scalar
+// phi() and with the reference scorer in score_oracle.h (score_kernel.h
+// states the argument; these tests enforce it), so every floating-point
+// comparison here is exact equality, never a tolerance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,9 @@
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
+#include "obs/metrics.h"
 #include "runtime/parallel_for.h"
+#include "score_oracle.h"
 #include "stats/rng.h"
 #include "stats/sample_vector.h"
 #include "timing/celllib.h"
@@ -123,7 +126,7 @@ TEST(PhiBlock, AllZeroColumnsAndEmptyPatternSet) {
   for (const double v : out) EXPECT_EQ(v, 1.0);
 }
 
-// --- Full-stack: cached kernel diagnose() vs the scalar reference --------
+// --- Full-stack: diagnose() vs the reference scorer ----------------------
 
 struct KernelFixture {
   Netlist nl;
@@ -191,30 +194,34 @@ struct KernelFixture {
     return BehaviorMatrix(nl.outputs().size(), patterns.size());
   }
 
-  DiagnosisResult diagnose(const BehaviorMatrix& B,
-                           const SignatureCache* cache) const {
+  Diagnoser diagnoser(const SignatureCache* cache, bool match_e = true) const {
     DiagnoserConfig config;
     config.capture_phi = true;
+    config.match_on_total_probability = match_e;
     config.cache = cache;
-    const Diagnoser d(dict_sim, sim, lev, size_model, config);
-    return d.diagnose(patterns, B, methods, clk);
+    return Diagnoser(dict_sim, sim, lev, size_model, config);
+  }
+
+  DiagnosisResult diagnose(const BehaviorMatrix& B, const SignatureCache* cache,
+                           bool match_e = true) const {
+    return diagnoser(cache, match_e).diagnose(patterns, B, methods, clk);
+  }
+
+  /// The reference scores of B's suspects.
+  DiagnosisResult oracle(const BehaviorMatrix& B, bool match_e = true) const {
+    return test_oracle::oracle_diagnosis(
+        dict_sim, sim, lev, size_model, patterns, B,
+        diagnoser(nullptr).extract_suspects(patterns, B), methods, clk,
+        match_e);
   }
 };
 
-void expect_identical(const DiagnosisResult& a, const DiagnosisResult& b) {
-  EXPECT_EQ(a.suspects, b.suspects);
-  EXPECT_EQ(a.scores, b.scores);  // exact: bit-identity is the contract
-  EXPECT_EQ(a.keys, b.keys);
-  EXPECT_EQ(a.phi, b.phi);
-  for (const Method m : a.methods) {
-    const auto ra = a.ranked(m);
-    const auto rb = b.ranked(m);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].arc, rb[i].arc);
-      EXPECT_EQ(ra[i].score, rb[i].score);
-    }
-  }
+using test_oracle::expect_same_diagnosis;
+
+std::uint64_t counter_value(const char* name) {
+  const auto counters = obs::MetricsRegistry::instance().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
 }
 
 TEST(SignatureCache, KernelPathBitIdenticalToScalar) {
@@ -223,7 +230,9 @@ TEST(SignatureCache, KernelPathBitIdenticalToScalar) {
                              /*match_on_total_probability=*/true);
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 2);
   const auto B = f.failing_chip(arc, 0);
-  expect_identical(f.diagnose(B, nullptr), f.diagnose(B, &cache));
+  const auto want = f.oracle(B);
+  ASSERT_FALSE(want.suspects.empty());
+  expect_same_diagnosis(f.diagnose(B, &cache), want);
 }
 
 TEST(SignatureCache, ColumnsReusedAcrossChips) {
@@ -232,25 +241,27 @@ TEST(SignatureCache, ColumnsReusedAcrossChips) {
                              true);
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 3);
   const auto B = f.failing_chip(arc, 0);
+  const auto want = f.oracle(B);
 
-  const auto first = f.diagnose(B, &cache);
+  // Cold cache: every sensitized column is built.
+  expect_same_diagnosis(f.diagnose(B, &cache), want);
   const auto after_first = cache.stats();
   EXPECT_GT(after_first.misses, 0U);
   EXPECT_GT(after_first.bytes, 0U);
   EXPECT_EQ(cache.output_count(), f.nl.outputs().size());
 
-  // A second chip with the same behavior shape re-asks for the same
-  // (pattern, suspect) columns: all hits, zero new builds or bytes.
-  const auto second = f.diagnose(B, &cache);
+  // Warm cache: a second chip with the same behavior shape re-asks for
+  // the same (pattern, suspect) columns - all hits, zero new builds or
+  // bytes - and still scores exactly as the reference.
+  expect_same_diagnosis(f.diagnose(B, &cache), want);
   const auto after_second = cache.stats();
   EXPECT_EQ(after_second.misses, after_first.misses);
   EXPECT_EQ(after_second.bytes, after_first.bytes);
   EXPECT_GT(after_second.hits, after_first.hits);
-  expect_identical(first, second);
 
-  // A different chip still scores bit-identically to its own scalar run.
+  // A different chip on the half-warm cache.
   const auto B2 = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 5), 1);
-  expect_identical(f.diagnose(B2, nullptr), f.diagnose(B2, &cache));
+  expect_same_diagnosis(f.diagnose(B2, &cache), f.oracle(B2));
 }
 
 TEST(SignatureCache, ByteIdenticalAcrossThreadCounts) {
@@ -258,46 +269,46 @@ TEST(SignatureCache, ByteIdenticalAcrossThreadCounts) {
   const KernelFixture f;
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 2);
   const auto B = f.failing_chip(arc, 2);
+  const auto want = f.oracle(B);
 
   runtime::set_thread_count(1);
   const SignatureCache cache1(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
                               true);
-  const auto serial = f.diagnose(B, &cache1);
+  expect_same_diagnosis(f.diagnose(B, &cache1), want);
 
   runtime::set_thread_count(4);
   f.dict_sim.prewarm();
   const SignatureCache cache4(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
                               true);
-  const auto parallel = f.diagnose(B, &cache4);
-
-  expect_identical(serial, parallel);
+  expect_same_diagnosis(f.diagnose(B, &cache4), want);
+  expect_same_diagnosis(f.diagnose(B, nullptr), want);
 }
 
 TEST(SignatureCache, SharedCacheAcrossParallelChips) {
   // The experiment-loop shape: one cache, many chips diagnosed by parallel
-  // workers.  Every chip must score exactly as its own serial scalar run.
+  // workers.  Every chip must score exactly as its reference.
   const ThreadCountGuard guard;
   const KernelFixture f;
   constexpr std::size_t kChips = 4;
   std::vector<BehaviorMatrix> chips;
-  std::vector<DiagnosisResult> scalar;
+  std::vector<DiagnosisResult> want;
   for (std::size_t c = 0; c < kChips; ++c) {
     const auto arc =
         static_cast<ArcId>((c + 1) * f.nl.arc_count() / (kChips + 2));
     chips.push_back(f.failing_chip(arc, c));
-    scalar.push_back(f.diagnose(chips.back(), nullptr));
+    want.push_back(f.oracle(chips.back()));
   }
 
   runtime::set_thread_count(4);
   f.dict_sim.prewarm();
   const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
                              true);
-  std::vector<DiagnosisResult> kernel(kChips);
+  std::vector<DiagnosisResult> got(kChips);
   runtime::parallel_for(kChips, [&](std::size_t c) {
-    kernel[c] = f.diagnose(chips[c], &cache);
+    got[c] = f.diagnose(chips[c], &cache);
   });
   for (std::size_t c = 0; c < kChips; ++c) {
-    expect_identical(scalar[c], kernel[c]);
+    expect_same_diagnosis(got[c], want[c]);
   }
 }
 
@@ -307,14 +318,86 @@ TEST(SignatureCache, SignatureMatchModeAlsoBitIdentical) {
                              /*match_on_total_probability=*/false);
   const ArcId arc = static_cast<ArcId>(f.nl.arc_count() / 2);
   const auto B = f.failing_chip(arc, 0);
-  DiagnoserConfig config;
-  config.capture_phi = true;
-  config.match_on_total_probability = false;
-  const Diagnoser scalar(f.dict_sim, f.sim, f.lev, f.size_model, config);
-  config.cache = &cache;
-  const Diagnoser kernel(f.dict_sim, f.sim, f.lev, f.size_model, config);
-  expect_identical(scalar.diagnose(f.patterns, B, f.methods, f.clk),
-                   kernel.diagnose(f.patterns, B, f.methods, f.clk));
+  const auto want = f.oracle(B, /*match_e=*/false);
+  expect_same_diagnosis(f.diagnose(B, &cache, false), want);  // cold
+  expect_same_diagnosis(f.diagnose(B, &cache, false), want);  // warm
+  expect_same_diagnosis(f.diagnose(B, nullptr, false), want);
+}
+
+TEST(Diagnoser, NullCacheMatchesOracle) {
+  // No shared cache: every diagnose() scores through a call-local one.
+  const KernelFixture f;
+  for (const ArcId arc : {static_cast<ArcId>(f.nl.arc_count() / 4),
+                          static_cast<ArcId>(f.nl.arc_count() / 2)}) {
+    const auto B = f.failing_chip(arc, 3);
+    expect_same_diagnosis(f.diagnose(B, nullptr), f.oracle(B));
+    expect_same_diagnosis(f.diagnose(B, nullptr, false), f.oracle(B, false));
+  }
+}
+
+TEST(Diagnoser, RejectsBehaviorOfWrongShape) {
+  // B must be |outputs| x |patterns|: an extra row would index past the
+  // netlist's outputs, a missing one would score a prefix of each column.
+  const KernelFixture f;
+  const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
+                             true);
+  const auto B = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 2), 0);
+  const std::size_t n_outputs = B.output_count();
+  for (const std::size_t rows : {n_outputs + 1, n_outputs - 1}) {
+    BehaviorMatrix wrong(rows, B.pattern_count());
+    for (std::size_t i = 0; i < std::min(rows, n_outputs); ++i) {
+      for (std::size_t j = 0; j < B.pattern_count(); ++j) {
+        wrong.set(i, j, B.at(i, j));
+      }
+    }
+    for (const SignatureCache* c : {&cache, static_cast<const SignatureCache*>(
+                                                nullptr)}) {
+      EXPECT_THROW((void)f.diagnose(wrong, c), std::invalid_argument)
+          << rows << " rows, cache " << (c != nullptr);
+    }
+  }
+  BehaviorMatrix short_cols(n_outputs, B.pattern_count() - 1);
+  EXPECT_THROW((void)f.diagnose(short_cols, &cache), std::invalid_argument);
+}
+
+TEST(SignatureCache, NoColumnBuiltForUnsensitizedSuspects) {
+  // Collapse: a suspect a pattern does not sensitize takes the pattern's
+  // shared baseline column; the cache builds (and counts) only the
+  // sensitized ones, and the loop evaluates one phi for all holders of
+  // the shared column.
+  const KernelFixture f;
+  const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
+                             true);
+  const auto B = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 2), 0);
+  const auto suspects = f.diagnoser(nullptr).extract_suspects(f.patterns, B);
+  std::uint64_t sensitized = 0;
+  std::uint64_t want_evals = 0;
+  for (const PatternPair& p : f.patterns) {
+    const auto& active = cache.collapse_slice(p).active;
+    std::uint64_t on = 0;
+    for (const ArcId a : suspects) on += active[a] != 0 ? 1 : 0;
+    sensitized += on;
+    want_evals += on + (on < suspects.size() ? 1 : 0);
+  }
+  const std::uint64_t all_pairs = suspects.size() * f.patterns.size();
+  ASSERT_LT(sensitized, all_pairs) << "every pair sensitized: nothing to test";
+
+  const auto want = f.oracle(B);
+  const std::uint64_t built0 = counter_value("dict.e_columns");
+  const std::uint64_t evals0 = counter_value("diag.phi_evals");
+  const auto got = f.diagnose(B, &cache);
+  const std::uint64_t built = counter_value("dict.e_columns") - built0;
+  const std::uint64_t evals = counter_value("diag.phi_evals") - evals0;
+  expect_same_diagnosis(got, want);
+  EXPECT_EQ(cache.stats().misses, sensitized);
+  EXPECT_EQ(cache.stats().hits, 0U);
+  EXPECT_EQ(built, sensitized);
+  EXPECT_EQ(evals, want_evals);
+  EXPECT_LT(evals, all_pairs);
+
+  // The shared column is the baseline M column itself.
+  const PatternSlice slice(f.dict_sim, f.sim, f.lev, f.patterns[0], f.clk);
+  EXPECT_EQ(cache.collapse_slice(f.patterns[0]).baseline, slice.m_column());
 }
 
 TEST(SignatureCache, MismatchedCacheRejected) {

@@ -4,6 +4,7 @@
 // is quarantined while the healthy ones keep answering - all in-process
 // over a real unix socket.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/faults.h"
 #include "store/client.h"
 #include "store/query.h"
@@ -27,8 +29,11 @@ struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
 
+/// Per-process scratch path: this file is built into both the main test
+/// binary and the store/serve smoke binary, which ctest may run at once.
 std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
+  return std::filesystem::path(::testing::TempDir()) /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 netlist::Netlist serve_netlist(const std::string& name, std::uint64_t seed) {
@@ -242,7 +247,7 @@ TEST(Serve, CorruptStoreIsQuarantinedHealthyOnesServe) {
   // Targeting the quarantined store (by path: its header never parsed,
   // so it has no circuit name) is a typed error, not a crash.
   const std::string denied = client.request(
-      "{\"op\":\"diagnose\",\"store\":" + store::json_quote(bad_path) +
+      "{\"op\":\"diagnose\",\"store\":" + obs::json_string(bad_path) +
       ",\"chips\":[]}");
   EXPECT_NE(denied.find("\"error\":\"store_quarantined\""), std::string::npos)
       << denied;

@@ -1,9 +1,11 @@
 // Tests for the persistent dictionary store: build determinism, the
-// StoreQueryEngine's bit-identity to an in-process Diagnoser over the
-// same dictionary world, and the loader's corruption taxonomy (truncated
+// StoreQueryEngine's bit-identity to the reference scorer (score_oracle.h)
+// and to an in-process Diagnoser over the same dictionary world, and the
+// loader's corruption taxonomy (truncated
 // tails, single bit flips, version and fingerprint mismatches) with the
 // offending section named every time.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -18,10 +20,12 @@
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/faults.h"
-#include "obs/ledger.h"
 #include "obs/metrics.h"
+#include "runtime/parallel_for.h"
+#include "score_oracle.h"
 #include "store/query.h"
 #include "store/store.h"
 #include "timing/celllib.h"
@@ -36,8 +40,11 @@ struct FaultSpecGuard {
   ~FaultSpecGuard() { obs::set_fault_spec(""); }
 };
 
+/// Per-process scratch path: this file is built into both the main test
+/// binary and the store/serve smoke binary, which ctest may run at once.
 std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path(::testing::TempDir()) / name;
+  return std::filesystem::path(::testing::TempDir()) /
+         (std::to_string(::getpid()) + "_" + name);
 }
 
 void write_raw(const std::filesystem::path& path, const std::string& bytes) {
@@ -113,6 +120,9 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
   dcfg.capture_phi = true;
   const diagnosis::Diagnoser diagnoser(dict_sim, logic_sim, lev, size_model,
                                        dcfg);
+  dcfg.match_on_total_probability = false;
+  const diagnosis::Diagnoser s_diagnoser(dict_sim, logic_sim, lev, size_model,
+                                         dcfg);
 
   const auto chips = store::sample_failing_chips(nl, st, 3);
   ASSERT_FALSE(chips.empty());
@@ -121,22 +131,26 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
       diagnosis::Method::kSimI, diagnosis::Method::kSimII,
       diagnosis::Method::kSimIII, diagnosis::Method::kRev};
   const store::StoreQueryEngine engine(st);
+  const std::size_t threads_before = runtime::thread_count();
   for (const auto& chip : chips) {
-    const auto from_store = engine.diagnose(chip.B, methods, true, true);
-    const auto in_memory =
-        diagnoser.diagnose(patterns, chip.B, methods, st.clk());
-    ASSERT_EQ(from_store.suspects, in_memory.suspects);
-    for (std::size_t m = 0; m < methods.size(); ++m) {
-      for (std::size_t s = 0; s < from_store.suspects.size(); ++s) {
-        // Bit-identical, not approximately equal: the store holds the raw
-        // doubles the Diagnoser would have computed.
-        EXPECT_EQ(from_store.scores[m][s], in_memory.scores[m][s]);
-        EXPECT_EQ(from_store.keys[m][s], in_memory.keys[m][s]);
+    // The store holds the raw doubles the dictionary computes, so the
+    // engine matches the reference exactly, under E and S matching and at
+    // any thread count.
+    for (const bool match_e : {true, false}) {
+      const auto want = test_oracle::oracle_diagnosis(
+          dict_sim, logic_sim, lev, size_model, patterns, chip.B,
+          diagnoser.extract_suspects(patterns, chip.B), methods, st.clk(),
+          match_e);
+      for (const std::size_t threads : {1, 4}) {
+        runtime::set_thread_count(threads);
+        test_oracle::expect_same_diagnosis(
+            engine.diagnose(chip.B, methods, match_e, true), want);
       }
-    }
-    ASSERT_EQ(from_store.phi.size(), in_memory.phi.size());
-    for (std::size_t s = 0; s < from_store.phi.size(); ++s) {
-      EXPECT_EQ(from_store.phi[s], in_memory.phi[s]);
+      runtime::set_thread_count(threads_before);
+      test_oracle::expect_same_diagnosis(
+          (match_e ? diagnoser : s_diagnoser)
+              .diagnose(patterns, chip.B, methods, st.clk()),
+          want);
     }
   }
 }
@@ -183,7 +197,7 @@ TEST(Store, VersionMismatchRejected) {
        ++p) {
     std::uint64_t at = 0;
     std::memcpy(&at, bytes.data() + p, 8);
-    if (at == obs::ledger_fnv1a64(std::string_view(bytes.data(), p))) {
+    if (at == obs::fnv1a64(std::string_view(bytes.data(), p))) {
       crc_pos = p;
       break;
     }
@@ -193,7 +207,7 @@ TEST(Store, VersionMismatchRejected) {
   // header so the version check, not the checksum, does the rejecting.
   bytes[8] = static_cast<char>(bytes[8] + 1);
   const std::uint64_t crc =
-      obs::ledger_fnv1a64(std::string_view(bytes.data(), crc_pos));
+      obs::fnv1a64(std::string_view(bytes.data(), crc_pos));
   std::memcpy(bytes.data() + crc_pos, &crc, 8);
   const auto path = temp_path("version.dict");
   write_raw(path, bytes);

@@ -85,12 +85,6 @@ namespace {
       "                 diagnosable) as deterministic JSON\n"
       "           [--manifest-out FILE]  run-provenance manifest (run id,\n"
       "                 seeds, threads, git sha, input hashes, artifacts)\n"
-      "           [--no-kernel]  score through the scalar reference path\n"
-      "                 instead of the cached packed kernel (bit-identical\n"
-      "                 results either way; also accepted by explain)\n"
-      "           [--collapse]  collapse suspects a pattern cannot observe\n"
-      "                 onto one shared phi per pattern (bit-identical\n"
-      "                 results, fewer phi evals; also accepted by explain)\n"
       "  dict build <netlist> <out.store> [--samples N] [--seed N]\n"
       "             [--pattern-sites N] [--max-patterns N] [--clk X]\n"
       "             [--max-suspects N] [--calibration-sites N]\n"
@@ -373,12 +367,10 @@ eval::ExperimentConfig diagnose_config_from(const Options& opts) {
 }
 
 int cmd_diagnose(const std::filesystem::path& path, const Options& opts,
-                 bool resume, bool no_kernel, bool collapse) {
+                 bool resume) {
   auto nl = load(path);
   if (nl.dff_count() > 0) nl = netlist::full_scan_transform(nl);
   eval::ExperimentConfig config = diagnose_config_from(opts);
-  config.use_score_kernel = !no_kernel;
-  config.collapse_unobservable = collapse;
   config.checkpoint_path = opts.str("checkpoint");
   config.resume = resume;
   config.deadline_s = opts.get_double("deadline-s", 0.0);
@@ -568,13 +560,10 @@ int cmd_report(const Options& opts) {
   return 0;
 }
 
-int cmd_explain(const std::filesystem::path& path, const Options& opts,
-                bool no_kernel, bool collapse) {
+int cmd_explain(const std::filesystem::path& path, const Options& opts) {
   auto nl = load(path);
   if (nl.dff_count() > 0) nl = netlist::full_scan_transform(nl);
-  eval::ExperimentConfig config = diagnose_config_from(opts);
-  config.use_score_kernel = !no_kernel;
-  config.collapse_unobservable = collapse;
+  const eval::ExperimentConfig config = diagnose_config_from(opts);
   eval::ExplainRequest request;
   const long trial = opts.get("trial", -1);
   if (trial >= 0) request.trial = static_cast<std::size_t>(trial);
@@ -886,18 +875,13 @@ int main(int argc, char** argv) {
     }
     if (cmd == "diagnose" && argc >= 3) {
       const bool resume = consume_flag(&argc, argv, "--resume");
-      const bool no_kernel = consume_flag(&argc, argv, "--no-kernel");
-      const bool collapse = consume_flag(&argc, argv, "--collapse");
-      return cmd_diagnose(argv[2], Options(argc, argv, 3), resume, no_kernel,
-                          collapse);
+      return cmd_diagnose(argv[2], Options(argc, argv, 3), resume);
     }
     if (cmd == "report") {
       return cmd_report(Options(argc, argv, 2));
     }
     if (cmd == "explain" && argc >= 3) {
-      const bool no_kernel = consume_flag(&argc, argv, "--no-kernel");
-      const bool collapse = consume_flag(&argc, argv, "--collapse");
-      return cmd_explain(argv[2], Options(argc, argv, 3), no_kernel, collapse);
+      return cmd_explain(argv[2], Options(argc, argv, 3));
     }
     if (cmd == "dict" && argc >= 4) {
       const std::string sub = argv[2];
