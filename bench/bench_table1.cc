@@ -15,14 +15,15 @@
 // --lint runs the static-analysis preflight (netlist + statistical-model
 // rule packs) on every circuit and aborts on error-severity findings.
 // --git-sha (or the SDDD_GIT_SHA environment variable) stamps the JSON
-// record so the perf trajectory is attributable across PRs.
+// record with the code it measured.
 //
 // Defaults favour a laptop-scale run (scale 0.35, 200 Monte-Carlo samples,
 // ~2-4 minutes); --scale 1.0 --samples 400 reproduces the full-size setup.
 // --threads 0 uses every hardware thread; results (table, CSV) are
 // bit-identical for any thread count.  Wall-clock timings are written to
-// BENCH_table1.json (override with --json FILE, disable with --json '')
-// so the perf trajectory is tracked PR over PR.
+// BENCH_table1.json (override with --json FILE, disable with --json ''),
+// an operator artifact that is not versioned; the perf history is
+// perfbench's, recorded by tools/bench_history.py.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

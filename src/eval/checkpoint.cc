@@ -5,7 +5,6 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -17,13 +16,6 @@
 namespace sddd::eval {
 
 namespace {
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
 
 bool parse_hex64(std::string_view s, std::uint64_t* out) {
   if (s.empty() || s.size() > 16) return false;
@@ -43,7 +35,9 @@ bool parse_hex64(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
-std::string double_hex(double d) { return hex64(std::bit_cast<std::uint64_t>(d)); }
+std::string double_hex(double d) {
+  return obs::hex64(std::bit_cast<std::uint64_t>(d));
+}
 
 bool parse_double_hex(std::string_view s, double* out) {
   std::uint64_t bits = 0;
@@ -86,7 +80,7 @@ std::string unescape_message(std::string_view msg) {
 constexpr std::string_view kHeaderMagic = "sddd-ckpt v1 ";
 
 std::string header_line(std::uint64_t fingerprint, std::size_t n_trials) {
-  return std::string(kHeaderMagic) + hex64(fingerprint) + ' ' +
+  return std::string(kHeaderMagic) + obs::hex64(fingerprint) + ' ' +
          std::to_string(n_trials) + '\n';
 }
 
@@ -170,7 +164,7 @@ std::string encode_checkpoint_record(std::size_t trial,
   }
   os << " m=" << escape_message(r.error_message);
   const std::string payload = os.str();
-  return "T " + hex64(obs::fnv1a64(payload)) + ' ' + payload;
+  return "T " + obs::hex64(obs::fnv1a64(payload)) + ' ' + payload;
 }
 
 bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
@@ -185,8 +179,10 @@ bool decode_checkpoint_record(const std::string& line, CheckpointRecord* out) {
   if (obs::fnv1a64(payload) != crc) return false;
 
   // The message field is "m=<rest of line>"; split it off first so the
-  // stream below only sees whitespace-delimited scalars.
-  const std::size_t m_pos = payload.rfind(" m=");
+  // stream below only sees whitespace-delimited scalars.  The split is the
+  // FIRST " m=": the message may contain one, no earlier field can (they
+  // are status and error-code names, decimal counts and hex doubles).
+  const std::size_t m_pos = payload.find(" m=");
   if (m_pos == std::string::npos) return false;
   std::istringstream is(payload.substr(0, m_pos));
   CheckpointRecord rec;
@@ -365,7 +361,7 @@ void write_experiment_json(const ExperimentResult& result,
   // deterministic computation.  A pure function of (circuit, config), so
   // it byte-matches across thread counts and checkpoint/resume cycles.
   os << "  \"run_id\": \""
-     << hex64(experiment_fingerprint(result.circuit_name, result.config))
+     << obs::hex64(experiment_fingerprint(result.circuit_name, result.config))
      << "\",\n";
   os << "  \"seed\": " << result.config.seed << ",\n";
   os << "  \"n_chips\": " << result.config.n_chips << ",\n";

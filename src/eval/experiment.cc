@@ -13,8 +13,8 @@
 #include "eval/checkpoint.h"
 #include "eval/explain.h"
 #include "introspect/explain.h"
-#include "introspect/manifest.h"
 #include "netlist/levelize.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/faults.h"
 #include "obs/log.h"
@@ -456,7 +456,7 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   // recorder up front so a postmortem dumped mid-run cross-links to the
   // run's other artifacts.
   const std::uint64_t fp = experiment_fingerprint(result.circuit_name, config);
-  obs::Recorder::instance().set_run_id(introspect::to_hex64(fp));
+  obs::Recorder::instance().set_run_id(obs::hex64(fp));
 
   // Trials are independent: each one derives its RNG stream purely from
   // (config.seed, trial index) - no shared sequential generator - and
@@ -695,8 +695,7 @@ introspect::ExplanationReport explain_trial(const Netlist& nl,
         S.dict_sim, S.logic_sim, S.lev, S.size_model, artifacts.patterns,
         artifacts.B, artifacts.diagnosis, S.clk, explain_config);
     report.circuit = nl.name();
-    report.run_id =
-        introspect::to_hex64(experiment_fingerprint(nl.name(), config));
+    report.run_id = obs::hex64(experiment_fingerprint(nl.name(), config));
     report.seed = config.seed;
     report.trial = trial;
     report.injected_arc = record.chip.defect_arc;

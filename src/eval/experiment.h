@@ -161,7 +161,8 @@ struct TrialRecord {
 /// wall_seconds; the *_cpu_seconds figures come from metric counter deltas
 /// (obs::MetricsSnapshot) and sum across threads, so a perfectly scaled
 /// 4-thread phase reports ~4x its wall share.  The counters echo the work
-/// volume behind those times (BENCH_table1.json "phases" object).
+/// volume behind those times (the Table-I JSON's "phases" object, written
+/// by write_table1_json).
 struct PhaseBreakdown {
   double setup_seconds = 0.0;        ///< model / field / simulator build
   double calibration_seconds = 0.0;  ///< clk calibration sweep
@@ -192,8 +193,8 @@ struct ExperimentResult {
   ExperimentConfig config;
   std::string circuit_name;
   double clk = 0.0;
-  /// Wall-clock cost of the whole experiment (calibration + trials); the
-  /// number BENCH_table1.json tracks across thread counts and PRs.
+  /// Wall-clock cost of the whole experiment (calibration + trials), as
+  /// reported per circuit in the Table-I JSON.
   double wall_seconds = 0.0;
   /// Per-phase attribution of that time (see PhaseBreakdown).
   PhaseBreakdown phases;

@@ -62,12 +62,12 @@ struct Table1Result {
 /// Runs the Table I reproduction.
 Table1Result run_table1(const Table1Config& config);
 
-/// The one BENCH_table1.json writer: every benchmark record (N-thread and
-/// serial alike) goes through here, so `threads`, `git_sha`, `run_id` and
-/// the per-circuit `phases` object are stamped identically in all of them.
-/// `threads` is read from runtime::thread_count() at call time.  `run_id`
-/// is the per-invocation 16-hex id (obs/ledger.h) that lets
-/// append_bench_history.py refuse to double-append a stale artifact.
+/// The one Table-I JSON writer (bench_table1's BENCH_table1.json, an
+/// operator artifact): `threads`, `git_sha`, `run_id` and the per-circuit
+/// `phases` object are stamped the same way in every run.  `threads` is
+/// read from runtime::thread_count() at call time.  `run_id` is the
+/// per-invocation 16-hex id (obs/ledger.h) that joins the file to the
+/// run's ledger record and flight recorder.
 void write_table1_json(std::ostream& os, const Table1Config& config,
                        const Table1Result& result, double total_seconds,
                        const std::string& git_sha,

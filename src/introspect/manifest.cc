@@ -1,6 +1,5 @@
 #include "introspect/manifest.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -21,13 +20,6 @@ obs::Counter& manifest_written_counter() {
 }
 
 }  // namespace
-
-std::string to_hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
 
 std::uint64_t fnv1a_file(const std::string& path, std::uint64_t* size_out) {
   std::ifstream in(path, std::ios::binary);

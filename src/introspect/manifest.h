@@ -23,10 +23,6 @@
 
 namespace sddd::introspect {
 
-/// Lower-case 16-digit hex of `v` (the run-id / fingerprint spelling used
-/// by checkpoint journals and every introspection artifact).
-std::string to_hex64(std::uint64_t v);
-
 /// FNV-1a 64 hash of a file's bytes; `size_out` (optional) receives the
 /// byte count.  Throws sddd::IoError when the file cannot be read.
 std::uint64_t fnv1a_file(const std::string& path,

@@ -17,6 +17,13 @@ std::uint64_t fnv1a64_word(std::uint64_t h, std::uint64_t word) {
   return h;
 }
 
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {

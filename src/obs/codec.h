@@ -1,6 +1,7 @@
 // codec.h - The byte-level encodings every persisted or rendered artifact
 // shares: FNV-1a-64 (journal, ledger and store checksums, run ids, file
-// digests, cache keys), JSON string literals and %.17g doubles.
+// digests, cache keys), their 16-hex spelling, JSON string literals and
+// %.17g doubles.
 //
 // Each caller keeps its own framing (line layout, key order, which bytes
 // it hashes); only the primitives live here, so equal inputs encode to
@@ -36,6 +37,10 @@ std::uint64_t fnv1a64(std::string_view bytes,
 
 /// Folds the 8 bytes of `word` into `h`, least significant byte first.
 std::uint64_t fnv1a64_word(std::uint64_t h, std::uint64_t word);
+
+/// `v` as exactly 16 lowercase hex digits (%016llx): the spelling of every
+/// persisted crc, run id, fingerprint, file digest and canonical trace id.
+std::string hex64(std::uint64_t v);
 
 /// Appends `s` as a JSON string literal, quotes included.  '"' and '\'
 /// are backslash-escaped, \n \t \r use their short escapes, every other

@@ -1,7 +1,6 @@
 #include "obs/expo.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/codec.h"
 
@@ -25,13 +24,6 @@ std::string prom_name(std::string_view prefix, std::string_view name) {
 
 // ---------------------------------------------------------------------------
 // Trace ids
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 bool valid_trace_id(std::string_view id) {
   if (id.empty() || id.size() > 64) return false;

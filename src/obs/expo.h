@@ -19,9 +19,9 @@
 // is deterministic: ties on total latency keep the EARLIER insertion.
 //
 // Trace-id helpers live here too: ids are canonically 16 lowercase hex
-// characters (hex16 of a 64-bit value); trace_key() inverts that for the
-// flight recorder's integer event keys, hashing non-canonical ids so any
-// client-supplied tag still lands a stable key.
+// characters (obs::hex64 of a 64-bit value); trace_key() inverts that for
+// the flight recorder's integer event keys, hashing non-canonical ids so
+// any client-supplied tag still lands a stable key.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +38,13 @@ namespace sddd::obs {
 // ---------------------------------------------------------------------------
 // Trace ids
 
-/// `v` as exactly 16 lowercase hex characters (the canonical trace id and
-/// run_id spelling).
-std::string hex16(std::uint64_t v);
-
 /// True when `id` is non-empty, at most 64 chars, and drawn from
 /// [A-Za-z0-9._-] - safe to embed unescaped in a response envelope.
 bool valid_trace_id(std::string_view id);
 
 /// The 64-bit key a trace id contributes to flight-recorder events: the
 /// parsed value for canonical (<= 16 hex chars) ids, an FNV-1a-64 hash
-/// otherwise.  hex16(trace_key(hex16(v))) == hex16(v).
+/// otherwise.  hex64(trace_key(hex64(v))) == hex64(v).
 std::uint64_t trace_key(std::string_view id);
 
 // ---------------------------------------------------------------------------

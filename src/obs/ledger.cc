@@ -206,13 +206,6 @@ constexpr std::size_t kCrcHexLen = 16;
 
 }  // namespace
 
-std::string ledger_hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string encode_ledger_record(const LedgerRecord& rec) {
   // Payload first (everything the checksum covers), then the framing.
   std::string p;
@@ -233,11 +226,6 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   u64_field("threads", rec.threads);
   u64_field("mc_samples", rec.mc_samples);
   u64_field("n_chips", rec.n_chips);
-  if (!rec.bench.empty()) {
-    field("bench", rec.bench);
-    u64_field("clients", rec.clients);
-    u64_field("batch", rec.batch);
-  }
   p.append(",\"wall_seconds\":").append(format_double(rec.wall_seconds));
   p.append(",\"phases\":{");
   bool first = true;
@@ -268,7 +256,7 @@ std::string encode_ledger_record(const LedgerRecord& rec) {
   std::string line;
   line.reserve(p.size() + 32);
   line.append(kCrcPrefix);
-  line.append(ledger_hex64(fnv1a64(p)));
+  line.append(hex64(fnv1a64(p)));
   line.append("\",");
   line.append(p);
   return line;
@@ -282,7 +270,7 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
   const std::string_view crc_hex = line.substr(kCrcPrefix.size(), kCrcHexLen);
   if (line.substr(kCrcPrefix.size() + kCrcHexLen, 2) != "\",") return false;
   const std::string_view payload = line.substr(payload_at);
-  if (ledger_hex64(fnv1a64(payload)) != crc_hex) return false;
+  if (hex64(fnv1a64(payload)) != crc_hex) return false;
 
   // Parse the payload as an (opening-brace-less) JSON object body.
   LedgerRecord rec;
@@ -313,12 +301,6 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
       ok = parse_number(&c, &d, &rec.mc_samples);
     } else if (key == "n_chips") {
       ok = parse_number(&c, &d, &rec.n_chips);
-    } else if (key == "bench") {
-      ok = parse_string(&c, &rec.bench);
-    } else if (key == "clients") {
-      ok = parse_number(&c, &d, &rec.clients);
-    } else if (key == "batch") {
-      ok = parse_number(&c, &d, &rec.batch);
     } else if (key == "wall_seconds") {
       ok = parse_number(&c, &rec.wall_seconds, &u);
     } else if (key == "phases") {
@@ -336,7 +318,9 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
     } else if (key == "unix_ms") {
       ok = parse_number(&c, &d, &rec.unix_ms);
     } else {
-      ok = skip_value(&c);  // forward compatibility
+      // Forward compatibility, and the "bench"/"clients"/"batch" keys
+      // that serve-bench lines written before their removal carry.
+      ok = skip_value(&c);
     }
     if (!ok) return false;
     c.skip_ws();
@@ -419,7 +403,7 @@ std::string new_invocation_run_id(std::string_view tool,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count()));
-  return ledger_hex64(fnv1a64(seed));
+  return hex64(fnv1a64(seed));
 }
 
 std::uint64_t read_peak_rss_kb() {
@@ -447,12 +431,6 @@ LedgerDiff diff_ledger_records(const LedgerRecord& a, const LedgerRecord& b) {
   d.circuit_b = b.circuit;
   d.sha_a = a.git_sha;
   d.sha_b = b.git_sha;
-  d.bench_a = a.bench;
-  d.bench_b = b.bench;
-  d.clients_a = a.clients;
-  d.clients_b = b.clients;
-  d.batch_a = a.batch;
-  d.batch_b = b.batch;
   d.threads_a = a.threads;
   d.threads_b = b.threads;
   d.wall_a = a.wall_seconds;
@@ -515,24 +493,12 @@ std::string pct_change(double a, double b) {
 
 std::string ledger_diff_to_text(const LedgerDiff& d) {
   std::ostringstream os;
-  const auto serve_suffix = [](const std::string& bench, std::uint64_t clients,
-                               std::uint64_t batch) {
-    if (bench.empty()) return std::string();
-    std::string s = ", bench " + bench;
-    if (clients != 0 || batch != 0) {
-      s += ", clients " + std::to_string(clients) + ", batch " +
-           std::to_string(batch);
-    }
-    return s;
-  };
   os << "run A: " << d.run_a << "  (" << d.tool_a << " " << d.circuit_a
      << ", git " << (d.sha_a.empty() ? "?" : d.sha_a) << ", threads "
-     << d.threads_a << serve_suffix(d.bench_a, d.clients_a, d.batch_a)
-     << ")\n";
+     << d.threads_a << ")\n";
   os << "run B: " << d.run_b << "  (" << d.tool_b << " " << d.circuit_b
      << ", git " << (d.sha_b.empty() ? "?" : d.sha_b) << ", threads "
-     << d.threads_b << serve_suffix(d.bench_b, d.clients_b, d.batch_b)
-     << ")\n\n";
+     << d.threads_b << ")\n\n";
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%-22s %12.4f %12.4f %12.4f %10s\n", "wall_s",
                 d.wall_a, d.wall_b, d.wall_b - d.wall_a,
@@ -592,14 +558,6 @@ std::string ledger_diff_to_json(const LedgerDiff& d) {
   append_json_string(j, d.sha_a);
   j.append(",\n  \"git_sha_b\": ");
   append_json_string(j, d.sha_b);
-  j.append(",\n  \"bench_a\": ");
-  append_json_string(j, d.bench_a);
-  j.append(",\n  \"bench_b\": ");
-  append_json_string(j, d.bench_b);
-  j.append(",\n  \"clients_a\": ").append(std::to_string(d.clients_a));
-  j.append(",\n  \"clients_b\": ").append(std::to_string(d.clients_b));
-  j.append(",\n  \"batch_a\": ").append(std::to_string(d.batch_a));
-  j.append(",\n  \"batch_b\": ").append(std::to_string(d.batch_b));
   j.append(",\n  \"threads_a\": ").append(std::to_string(d.threads_a));
   j.append(",\n  \"threads_b\": ").append(std::to_string(d.threads_b));
   j.append(",\n  \"wall_a\": ").append(format_double(d.wall_a));

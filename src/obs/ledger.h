@@ -1,12 +1,11 @@
 // ledger.h - The run ledger: one checksummed JSONL record per run.
 //
-// Every `sddd_cli diagnose` / `bench_*` invocation can append ONE record
-// describing what ran and what it cost: the 16-hex run_id (the same
-// experiment fingerprint stamped into the result JSON, checkpoint journal
-// and manifest), git SHA, thread count, per-phase wall seconds, a full
-// counter snapshot and the peak RSS.  The ledger is the durable,
-// append-only index that `sddd_cli report` diffs and that the perf
-// regression sentry reads.
+// Every `sddd_cli diagnose` / `serve` / `bench_table1` invocation can
+// append ONE record describing what ran and what it cost: the 16-hex
+// run_id (the same experiment fingerprint stamped into the result JSON,
+// checkpoint journal and manifest), git SHA, thread count, per-phase wall
+// seconds, a full counter snapshot and the peak RSS.  The ledger is the
+// durable, append-only index that `sddd_cli report` diffs.
 //
 // Line format (one record per line, no trailing spaces):
 //
@@ -39,19 +38,13 @@ namespace sddd::obs {
 struct LedgerRecord {
   int version = 1;
   std::string run_id;    ///< 16-hex fingerprint (experiment or invocation).
-  std::string tool;      ///< "diagnose", "bench_table1", "bench_score", ...
+  std::string tool;      ///< "diagnose", "serve", "bench_table1", ...
   std::string circuit;   ///< circuit name ("s1196") or comma list for benches
   std::string git_sha;   ///< from SDDD_GIT_SHA / --git-sha; may be empty
   std::uint64_t seed = 0;
   std::uint64_t threads = 0;
   std::uint64_t mc_samples = 0;
   std::uint64_t n_chips = 0;
-  /// Bench shape tag ("serve", ...).  Empty for diagnose / table1-style
-  /// records; when empty the three serve fields below are omitted from the
-  /// encoded line entirely, so pre-serve ledgers re-encode byte-identically.
-  std::string bench;
-  std::uint64_t clients = 0;  ///< peak concurrent load-gen clients (serve)
-  std::uint64_t batch = 0;    ///< chips per request frame (serve)
   double wall_seconds = 0.0;
   /// Per-phase wall seconds ("setup_s", "calibration_s", "trials_s", ...).
   std::map<std::string, double> phases;
@@ -64,9 +57,6 @@ struct LedgerRecord {
   std::string result_path;        ///< where the result JSON landed, or "".
   std::uint64_t unix_ms = 0;      ///< wall clock at append; NOT compared.
 };
-
-/// Lower-case 16-hex rendering of `v`.
-std::string ledger_hex64(std::uint64_t v);
 
 /// Renders `rec` as one ledger line (no trailing newline), checksum filled.
 std::string encode_ledger_record(const LedgerRecord& rec);
@@ -97,10 +87,9 @@ std::optional<LedgerRecord> ledger_tail(const std::string& path);
 std::uint64_t read_peak_rss_kb();
 
 /// A fresh 16-hex id for one tool INVOCATION (hashes tool, git sha, pid
-/// and the wall clock).  Benchmarks use this instead of the experiment
-/// fingerprint: two bench runs with equal configs are distinct
-/// measurements that must both enter the history, while re-appending the
-/// SAME stale artifact (equal run_id) is refused by the tooling.
+/// and the wall clock).  bench_table1 and the server use this instead of
+/// the experiment fingerprint: two runs with equal configs are distinct
+/// measurements, and each gets its own ledger entry.
 std::string new_invocation_run_id(std::string_view tool,
                                   std::string_view git_sha);
 
@@ -120,9 +109,6 @@ struct LedgerDiff {
   std::string tool_a, tool_b;
   std::string circuit_a, circuit_b;
   std::string sha_a, sha_b;
-  std::string bench_a, bench_b;  ///< bench shape tags; "" = non-bench run
-  std::uint64_t clients_a = 0, clients_b = 0;
-  std::uint64_t batch_a = 0, batch_b = 0;
   std::uint64_t threads_a = 0, threads_b = 0;
   double wall_a = 0.0, wall_b = 0.0;
   std::uint64_t rss_a = 0, rss_b = 0;

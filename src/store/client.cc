@@ -78,7 +78,7 @@ std::string mint_client_trace_id() {
   h = obs::fnv1a64_word(h, static_cast<std::uint64_t>(::getpid()));
   h = obs::fnv1a64_word(h, obs::now_ns());
   h = obs::fnv1a64_word(h, counter.fetch_add(1));
-  return obs::hex16(h);
+  return obs::hex64(h);
 }
 
 std::string payload_with_trace_id(const std::string& payload,

@@ -35,12 +35,12 @@ std::atomic<std::uint64_t> g_accept_ordinal{0};
 std::atomic<std::uint64_t> g_request_ordinal{0};
 std::atomic<std::uint64_t> g_response_ordinal{0};
 
-// Server-minted trace ids: deterministic hex16 of a process-wide request
+// Server-minted trace ids: deterministic hex64 of a process-wide request
 // counter, so a replayed request sequence mints the same identities.
 std::atomic<std::uint64_t> g_trace_ordinal{0};
 
 std::string mint_trace_id() {
-  return obs::hex16(g_trace_ordinal.fetch_add(1) + 1);
+  return obs::hex64(g_trace_ordinal.fetch_add(1) + 1);
 }
 
 // Phase/request latency bucket bounds, microseconds: 100us .. 5s.

@@ -17,7 +17,6 @@
 #include "diagnosis/dictionary.h"
 #include "eval/checkpoint.h"
 #include "eval/experiment.h"
-#include "introspect/manifest.h"
 #include "netlist/levelize.h"
 #include "obs/atomic_file.h"
 #include "obs/error.h"
@@ -405,7 +404,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
 
   if (info != nullptr) {
     info->fingerprint = fingerprint;
-    info->run_id = introspect::to_hex64(fingerprint);
+    info->run_id = obs::hex64(fingerprint);
     info->clk = stack.clk;
     info->n_patterns = n_patterns;
     info->n_outputs = n_outputs;
@@ -546,8 +545,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     if (crc != stored_header_crc) {
       throw StoreError("header",
                        path_ + ": header checksum mismatch (stored " +
-                           introspect::to_hex64(stored_header_crc) +
-                           ", computed " + introspect::to_hex64(crc) + ")");
+                           obs::hex64(stored_header_crc) +
+                           ", computed " + obs::hex64(crc) + ")");
     }
   }
 
@@ -592,8 +591,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     if (crc != sec.crc) {
       throw StoreError(sec.name,
                        path_ + ": checksum mismatch in section '" + sec.name +
-                           "' (stored " + introspect::to_hex64(sec.crc) +
-                           ", computed " + introspect::to_hex64(crc) + ")");
+                           "' (stored " + obs::hex64(sec.crc) +
+                           ", computed " + obs::hex64(crc) + ")");
     }
   }
 
@@ -629,8 +628,8 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
   if (expect_fingerprint != 0 && fingerprint_ != expect_fingerprint) {
     throw StoreError("header",
                      path_ + ": fingerprint mismatch: store is " +
-                         introspect::to_hex64(fingerprint_) + ", expected " +
-                         introspect::to_hex64(expect_fingerprint));
+                         obs::hex64(fingerprint_) + ", expected " +
+                         obs::hex64(expect_fingerprint));
   }
 }
 
@@ -641,7 +640,7 @@ DictionaryStore::~DictionaryStore() {
 }
 
 std::string DictionaryStore::run_id() const {
-  return introspect::to_hex64(fingerprint_);
+  return obs::hex64(fingerprint_);
 }
 
 const double* DictionaryStore::m_column(std::size_t j) const {

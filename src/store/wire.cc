@@ -74,9 +74,15 @@ class JsonParser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -250,6 +256,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t i_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around the cursor
 };
 
 bool read_exact(int fd, void* buf, std::size_t n) {

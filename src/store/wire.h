@@ -15,6 +15,7 @@
 // top-level value, which framing already excludes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -52,7 +53,14 @@ class JsonValue {
   double get_number(const std::string& key, double fallback = 0.0) const;
 };
 
-/// Parses one JSON document.  Throws sddd::ParseError on malformed input.
+/// Deepest array/object nesting parse_json accepts.  The reader recurses
+/// once per level, so this bounds its stack on a hostile frame; the
+/// deepest frame the repository writes (a diagnose response inside its
+/// trace envelope) nests 7 levels.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
+/// Parses one JSON document.  Throws sddd::ParseError on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "introspect/confidence.h"
 #include "introspect/manifest.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "runtime/parallel_for.h"
 
 namespace sddd {
@@ -122,16 +123,11 @@ TEST(DictionaryRules, AdequateSampleBudgetIsSilent) {
 
 // --- manifest.h ------------------------------------------------------------
 
-TEST(Manifest, Hex64IsZeroPaddedLowercase) {
-  EXPECT_EQ(introspect::to_hex64(0), "0000000000000000");
-  EXPECT_EQ(introspect::to_hex64(0xDEADBEEFULL), "00000000deadbeef");
-}
-
 TEST(Manifest, JsonCarriesProvenanceFields) {
   introspect::RunManifest m;
   m.tool = "sddd_cli diagnose";
   m.circuit = "evalckt";
-  m.run_id = introspect::to_hex64(0x1234ULL);
+  m.run_id = obs::hex64(0x1234ULL);
   m.seed = 8;
   m.mc_samples = 80;
   m.n_chips = 6;
@@ -139,7 +135,7 @@ TEST(Manifest, JsonCarriesProvenanceFields) {
   m.git_sha = "abc1234";
   m.faults = "exp.trial@1";
   m.quarantined_trials = 1;
-  m.inputs.push_back({"ckt.bench", introspect::to_hex64(99), 1024});
+  m.inputs.push_back({"ckt.bench", obs::hex64(99), 1024});
   m.artifacts.push_back({"explain", "explain.json"});
 
   const std::string json = introspect::manifest_to_json(m);

@@ -14,8 +14,8 @@
 
 #include "eval/checkpoint.h"
 #include "eval/experiment.h"
-#include "introspect/manifest.h"
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/faults.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -145,6 +145,52 @@ TEST(Ledger, TornTailIsSkippedNotFatal) {
   const auto tail = obs::ledger_tail(path.string());
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->run_id, "bbbbbbbbbbbbbbbb");
+  std::filesystem::remove(path);
+}
+
+TEST(Ledger, ServeBenchLineFromOlderWritersStillLoads) {
+  // Written by the encoder that still carried the serve-bench shape keys
+  // "bench", "clients" and "batch"; readers now skip them.
+  const std::string line =
+      "{\"crc\":\"674aab50cdb95d77\",\"v\":1,\"run_id\":\"00000000000000aa\","
+      "\"tool\":\"bench_serve\",\"circuit\":\"s9234\",\"git_sha\":\"b9bb4cb\","
+      "\"seed\":0,\"threads\":4,\"mc_samples\":120,\"n_chips\":6,"
+      "\"bench\":\"serve\",\"clients\":4,\"batch\":6,\"wall_seconds\":2.5,"
+      "\"phases\":{\"serve_s\":2.5},\"counters\":{\"serve.requests\":12},"
+      "\"peak_rss_kb\":4096,\"manifest_fnv\":\"\",\"result_fnv\":\"\","
+      "\"result_path\":\"\",\"unix_ms\":1754600000000}";
+  obs::LedgerRecord rec;
+  ASSERT_TRUE(obs::decode_ledger_record(line, &rec));
+  EXPECT_EQ(rec.run_id, "00000000000000aa");
+  EXPECT_EQ(rec.tool, "bench_serve");
+  EXPECT_EQ(rec.threads, 4u);
+  EXPECT_EQ(rec.n_chips, 6u);
+  EXPECT_DOUBLE_EQ(rec.wall_seconds, 2.5);
+  EXPECT_EQ(rec.counters.at("serve.requests"), 12u);
+  EXPECT_EQ(rec.unix_ms, 1754600000000ull);
+  EXPECT_EQ(obs::encode_ledger_record(rec).find("\"bench\""),
+            std::string::npos);
+
+  const auto path = temp_path("ledger_serve_bench.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << line << '\n';
+  }
+  ASSERT_TRUE(obs::append_ledger_record(path.string(),
+                                        sample_record("bbbbbbbbbbbbbbbb")));
+  const obs::LedgerFile ledger = obs::load_ledger(path.string());
+  ASSERT_EQ(ledger.records.size(), 2u);
+  EXPECT_EQ(ledger.skipped_lines, 0u);
+  const obs::LedgerDiff d =
+      obs::diff_ledger_records(ledger.records[0], ledger.records[1]);
+  const std::string text = obs::ledger_diff_to_text(d);
+  const std::string json = obs::ledger_diff_to_json(d);
+  for (const char* key : {"bench ", "clients", "batch"}) {
+    EXPECT_EQ(text.find(key), std::string::npos) << text;
+  }
+  for (const char* key : {"\"bench_a\"", "\"clients_a\"", "\"batch_a\""}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << json;
+  }
   std::filesystem::remove(path);
 }
 
@@ -334,7 +380,7 @@ TEST(Recorder, QuarantinedTrialDumpsPostmortemCrossLinkedToManifest) {
   EXPECT_NE(bundle.find("trial.error"), std::string::npos);
   // ... and its run_id is the experiment fingerprint: the same 16-hex id
   // stamped into the run's manifest / result JSON / checkpoint journal.
-  const std::string expected_run_id = introspect::to_hex64(
+  const std::string expected_run_id = obs::hex64(
       eval::experiment_fingerprint(nl.name(), config));
   EXPECT_NE(bundle.find("\"run_id\": \"" + expected_run_id + "\""),
             std::string::npos)

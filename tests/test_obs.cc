@@ -208,6 +208,14 @@ TEST(ObsCodec, Fnv1aMatchesReferenceVectors) {
   EXPECT_EQ(h, 0x85944171f73967e8ULL);
 }
 
+TEST(ObsCodec, Hex64IsZeroPaddedLowercase) {
+  // The spelling of every persisted crc, run id and fingerprint.
+  EXPECT_EQ(obs::hex64(0), "0000000000000000");
+  EXPECT_EQ(obs::hex64(0xDEADBEEFULL), "00000000deadbeef");
+  EXPECT_EQ(obs::hex64(0xdeadbeefcafef00dULL), "deadbeefcafef00d");
+  EXPECT_EQ(obs::hex64(~0ULL), "ffffffffffffffff");
+}
+
 TEST(ObsCodec, JsonStringEscapesEveryControlCharacter) {
   static constexpr char kHex[] = "0123456789abcdef";
   for (int c = 0; c < 0x20; ++c) {

@@ -272,6 +272,47 @@ TEST(Checkpoint, QuarantinedRecordKeepsErrorAndMessage) {
   EXPECT_EQ(decoded.record.error_message, r.error_message);
 }
 
+eval::TrialRecord quarantined_with_marker_in_message() {
+  eval::TrialRecord r;
+  r.status = eval::TrialStatus::kQuarantined;
+  r.error_code = ErrorCode::kNumeric;
+  // " m=" is also the separator in front of the message field.
+  r.error_message = "NaN in row m=3 of the dictionary";
+  r.rank_of_true = {-1, -1};
+  return r;
+}
+
+TEST(Checkpoint, MessageContainingFieldMarkerRoundTrips) {
+  const eval::TrialRecord r = quarantined_with_marker_in_message();
+  const std::string line = eval::encode_checkpoint_record(2, r);
+  eval::CheckpointRecord decoded;
+  ASSERT_TRUE(eval::decode_checkpoint_record(line, &decoded)) << line;
+  EXPECT_EQ(decoded.trial, 2u);
+  expect_records_equal(decoded.record, r);
+  EXPECT_EQ(decoded.record.error_message, r.error_message);
+}
+
+TEST(Checkpoint, LoadKeepsRecordsAfterMessageContainingFieldMarker) {
+  const auto path = temp_path("journal_marker.ckpt");
+  std::filesystem::remove(path);
+  const std::uint64_t fp = 0x5eedULL;
+  {
+    eval::CheckpointWriter writer(path.string(), fp, 4, 0, true);
+    writer.append(0, quarantined_with_marker_in_message());
+    writer.append(1, sample_record());
+  }
+  const eval::CheckpointLoad load = eval::load_checkpoint(path.string(), fp, 4);
+  ASSERT_TRUE(load.header_ok);
+  ASSERT_EQ(load.records.size(), 2u);
+  EXPECT_EQ(load.records[0].trial, 0u);
+  EXPECT_EQ(load.records[0].record.error_message,
+            "NaN in row m=3 of the dictionary");
+  EXPECT_EQ(load.records[1].trial, 1u);
+  expect_records_equal(load.records[1].record, sample_record());
+  EXPECT_EQ(load.valid_bytes, std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, CorruptRecordIsRejected) {
   std::string line = eval::encode_checkpoint_record(7, sample_record());
   eval::CheckpointRecord decoded;

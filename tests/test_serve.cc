@@ -15,6 +15,7 @@
 
 #include "netlist/synth.h"
 #include "obs/codec.h"
+#include "obs/error.h"
 #include "obs/faults.h"
 #include "store/client.h"
 #include "store/query.h"
@@ -200,6 +201,43 @@ TEST(Serve, WireBackwardCompatAndTraceEcho) {
       store::split_response_envelope(client.request(stamped), &id2, &payload2));
   EXPECT_EQ(id2, "load-gen.7");
   EXPECT_EQ(payload2, expected);
+
+  server.request_drain();
+  server.wait();
+}
+
+TEST(Serve, DeepNestingIsATypedParseError) {
+  // The reader recurses once per level: without a cap, 100,000 open
+  // brackets overflow the stack of whichever thread parses them.
+  EXPECT_THROW(store::parse_json(std::string(100000, '[')), ParseError);
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(store::parse_json(nested(store::kMaxJsonDepth)).is_array());
+  EXPECT_THROW(store::parse_json(nested(store::kMaxJsonDepth + 1)),
+               ParseError);
+  EXPECT_THROW(store::parse_json(std::string(100000, '{')), ParseError);
+}
+
+TEST(Serve, DeepNestingFrameGetsParseErrorConnectionSurvives) {
+  std::string request;
+  const std::string path = build_store_and_request("servedeep", 71, &request);
+
+  store::ServerConfig cfg;
+  cfg.store_paths = {path};
+  cfg.unix_socket = temp_path("servedeep.sock").string();
+  store::DiagnosisServer server(cfg);
+  server.start();
+
+  // A 100 KB frame of open brackets is parsed on the connection thread.
+  auto client = store::ServeClient::connect(cfg.unix_socket, -1);
+  const std::string response = client.request(std::string(100000, '['));
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"error\":\"parse\""), std::string::npos)
+      << response;
+
+  const std::string health = client.request("{\"op\":\"health\"}");
+  EXPECT_NE(health.find("\"ok\":true"), std::string::npos) << health;
 
   server.request_drain();
   server.wait();

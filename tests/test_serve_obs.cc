@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "netlist/synth.h"
+#include "obs/codec.h"
 #include "obs/error.h"
 #include "obs/expo.h"
 #include "obs/obs.h"
@@ -149,10 +150,10 @@ TEST(SlowRingObs, EvictionIsDeterministicTiesKeepTheEarlierEntry) {
 }
 
 TEST(TraceIdObs, CanonicalRoundTripAndValidation) {
-  EXPECT_EQ(obs::hex16(0x1f), "000000000000001f");
+  EXPECT_EQ(obs::hex64(0x1f), "000000000000001f");
   EXPECT_EQ(obs::trace_key("000000000000001f"), 0x1fu);
-  const std::string canonical = obs::hex16(0xdeadbeefcafef00dULL);
-  EXPECT_EQ(obs::hex16(obs::trace_key(canonical)), canonical);
+  const std::string canonical = obs::hex64(0xdeadbeefcafef00dULL);
+  EXPECT_EQ(obs::hex64(obs::trace_key(canonical)), canonical);
 
   EXPECT_TRUE(obs::valid_trace_id("load-gen.7"));
   EXPECT_TRUE(obs::valid_trace_id(canonical));

@@ -48,10 +48,11 @@
 #      serve.store fault quarantines with a postmortem whose event key
 #      matches the client's trace id, and a SIGTERM drain leaves a
 #      complete metrics snapshot on disk;
-#  13. perf sentry gate: the bench-history tooling self-check proves the
-#      regression gate fires on an injected 2x slowdown (and passes an
-#      unmodified rerun); the real BENCH_history.jsonl, when present, is
-#      then checked warn-free against its own rolling baseline;
+#  13. perf sentry gate: the self-check of tools/bench_history.py proves
+#      the regression gate fires on an injected 2x slowdown (and passes an
+#      unmodified rerun) on synthetic perfbench records; then every line
+#      of BENCH_history.jsonl must parse and its last three perfbench
+#      records must sit within 1.5x of their rolling baseline;
 #  14. clang-tidy profile (skipped automatically when not installed).
 #
 #   tools/ci.sh [-jN]
@@ -141,11 +142,6 @@ assert explain["run_id"] == result["run_id"] == manifest["run_id"], \
 print(f"explain smoke ok: {len(cands)} candidates, run_id "
       f"{explain['run_id']} consistent across explain/result/manifest")
 EOF
-
-# The benchmark history (when present) must stay parseable line by line.
-if [ -f BENCH_history.jsonl ]; then
-  python3 tools/append_bench_history.py --check BENCH_history.jsonl
-fi
 
 echo "== [5/14] golden bytes (result + explain JSON, kernel counters) =="
 # The step-4 outputs must be the committed bytes: the scoring loop, its
@@ -561,12 +557,9 @@ echo "== [13/14] perf sentry gate (must fire on injected slowdown) =="
 # Deterministic proof on a synthetic history: the sentry passes a healthy
 # run and FAILS the same run under --inject-slowdown 2.0.
 python3 tools/selfcheck_bench_tools.py "$OBS_DIR"
-# Then the real history, when present: fresh entries must sit within the
-# rolling baseline (new workload shapes are skipped, not failed).
-if [ -f BENCH_history.jsonl ]; then
-  python3 tools/check_bench_regression.py --history BENCH_history.jsonl \
-    --last 3
-fi
+# Then the real history: every line must parse, and the fresh records must
+# sit within the rolling baseline (new hosts and workloads are skipped).
+python3 tools/bench_history.py check --history BENCH_history.jsonl --last 3
 
 echo "== [14/14] clang-tidy profile =="
 tools/run_static_checks.sh

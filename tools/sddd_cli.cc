@@ -37,6 +37,7 @@
 #include "eval/explain.h"
 #include "introspect/manifest.h"
 #include "obs/atomic_file.h"
+#include "obs/codec.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "netlist/bench_io.h"
@@ -338,7 +339,7 @@ introspect::RunManifest base_manifest(const char* tool,
   m.tool = tool;
   m.circuit = nl.name();
   m.run_id =
-      introspect::to_hex64(eval::experiment_fingerprint(nl.name(), config));
+      obs::hex64(eval::experiment_fingerprint(nl.name(), config));
   m.seed = config.seed;
   m.mc_samples = config.mc_samples;
   m.n_chips = config.n_chips;
@@ -350,7 +351,7 @@ introspect::RunManifest base_manifest(const char* tool,
   introspect::RunManifest::InputFile f;
   f.path = input.string();
   std::uint64_t bytes = 0;
-  f.fnv1a = introspect::to_hex64(introspect::fnv1a_file(input.string(), &bytes));
+  f.fnv1a = obs::hex64(introspect::fnv1a_file(input.string(), &bytes));
   f.bytes = bytes;
   m.inputs.push_back(std::move(f));
   return m;
@@ -458,7 +459,7 @@ int cmd_diagnose(const std::filesystem::path& path, const Options& opts,
   if (!obs::ledger_out_path().empty()) {
     obs::LedgerRecord rec;
     rec.run_id =
-        introspect::to_hex64(eval::experiment_fingerprint(nl.name(), config));
+        obs::hex64(eval::experiment_fingerprint(nl.name(), config));
     rec.tool = "diagnose";
     rec.circuit = nl.name();
     const char* sha = std::getenv("SDDD_GIT_SHA");
@@ -478,12 +479,12 @@ int cmd_diagnose(const std::filesystem::path& path, const Options& opts,
     rec.peak_rss_kb = obs::read_peak_rss_kb();
     if (!manifest_out.empty()) {
       rec.manifest_fnv =
-          introspect::to_hex64(introspect::fnv1a_file(manifest_out));
+          obs::hex64(introspect::fnv1a_file(manifest_out));
     }
     if (!json_path.empty()) {
       rec.result_path = json_path;
       rec.result_fnv =
-          introspect::to_hex64(introspect::fnv1a_file(json_path));
+          obs::hex64(introspect::fnv1a_file(json_path));
     }
     rec.unix_ms = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(

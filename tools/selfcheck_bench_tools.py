@@ -1,179 +1,135 @@
 #!/usr/bin/env python3
-"""Self-check for the bench-history tooling: proves the perf gate fires.
+"""Self-check for tools/bench_history.py: proves the perf gate fires.
 
-    selfcheck_bench_tools.py [SCRATCH_DIR]
+    selfcheck_bench_tools.py [OUT_DIR]
 
-Builds a small synthetic BENCH_history.jsonl in SCRATCH_DIR (default: a
-temp dir) and asserts, end to end against the real scripts:
+Builds synthetic histories in OUT_DIR (default: a temp dir) from
+synthetic perfbench/run.py output, appended with the function `record`
+uses, and asserts, against the real `check` command:
 
-  * append_bench_history.py appends a valid artifact, refuses a stale
-    re-append of the same run_id at the tail (exit 1), refuses an invalid
-    schema (exit 1), and survives a malformed line mid-history;
-  * check_bench_regression.py passes an unmodified rerun (exit 0) and
-    FAILS the same data under --inject-slowdown 2.0 (exit 1) -- the CI
-    proof that the sentry actually gates.
+  * a healthy rerun passes, and the same history fails under
+    --inject-slowdown 2.0;
+  * halving chips_per_s (higher is better) fails, and so does doubling
+    tail_ms (lower is better);
+  * a candidate with a different nproc is not judged against the baseline;
+  * the append refuses a loaded_host run, a correct: false run and a
+    non-zero exit, and writes nothing for any of them;
+  * check fails on a torn line.
 
-Exit 0 when every scenario behaves; 1 with a message otherwise.  Run by
-ctest (bench_history_tools) and by ci.sh, so the gate's behavior is itself
-under test on every PR.
+It never runs perfbench.  Exit 0 when every scenario behaves; 1 with a
+message otherwise.  Run by ctest (bench_history_tools) and by ci.sh.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, TOOLS)
+import bench_history  # noqa: E402
+
+METRICS = bench_history.end_to_end(bench_history.load_spec())
+HEALTHY = {"chips_per_s": 160.0, "p50_ms": 6.2, "tail_ms": 7.8,
+           "setup_s": 0.75, "peak_rss_mb": 35.0}
 
 
-def run(script, *argv):
-    return subprocess.run(
-        [sys.executable, os.path.join(TOOLS, script), *argv],
+def fail(msg):
+    print(f"FAIL: {msg}", file=sys.stderr)
+    sys.exit(1)
+
+
+def run_output(scale=1.0, nproc=4, loaded=False, correct=True, **metrics):
+    """What run.py prints for one diagnose run: a log line, the record
+    line, then the result line."""
+    values = {name: v * scale for name, v in HEALTHY.items()}
+    values.update(metrics)
+    record = {"workload": "diagnose", "seed": 7, "seconds": 20, "trace": 0,
+              "nproc": nproc, "loaded_host": loaded, "build_type": "Release",
+              "git_sha": "0" * 40, "source_digest": "0" * 16}
+    result = {"correct": correct, "attempted": 6000, "failed": 0,
+              "metrics": {name: {"value": v, "unit": "x"}
+                          for name, v in values.items()}}
+    return ("perfbench: diagnose pass done\n" + json.dumps({"record": record})
+            + "\n" + json.dumps(result) + "\n")
+
+
+def append(hist, stdout, returncode=0):
+    why = bench_history.append_run(hist, returncode, stdout, METRICS)
+    if why is not None:
+        fail(f"append refused a healthy run: {why}")
+
+
+def expect_check(hist, want_code, what, *argv):
+    result = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "bench_history.py"), "check",
+         "--history", hist, "--last", "1", *argv],
         capture_output=True, text=True)
-
-
-def expect(result, want_code, what):
     if result.returncode != want_code:
-        print(f"FAIL: {what}: expected exit {want_code}, got "
-              f"{result.returncode}\nstdout: {result.stdout}\n"
-              f"stderr: {result.stderr}", file=sys.stderr)
-        sys.exit(1)
+        fail(f"{what}: expected exit {want_code}, got {result.returncode}\n"
+             f"stdout: {result.stdout}\nstderr: {result.stderr}")
     print(f"ok: {what} (exit {result.returncode})")
 
 
-def table1_artifact(run_id, sha, seconds):
-    return {
-        "run_id": run_id, "git_sha": sha, "threads": 4, "scale": 0.35,
-        "samples": 120, "chips": 8, "total_seconds": seconds,
-        "circuits": [{"name": "s1196", "seconds": seconds,
-                      "phases": {"setup_s": 0.1, "calibration_s": 0.2,
-                                 "trials_s": seconds - 0.3}}],
-    }
-
-
-def serve_artifact(run_id, sha, seconds, p95_ms=2.5):
-    return {
-        "bench": "serve", "bit_identical": True,
-        "run_id": run_id, "git_sha": sha, "threads": 4, "scale": 0.35,
-        "samples": 120, "clients": 4, "batch": 6, "chips": 6,
-        "total_seconds": seconds,
-        "latency_p50_ms": p95_ms * 0.4,
-        "latency_p95_ms": p95_ms,
-        "latency_p99_ms": p95_ms * 2.0,
-        "circuits": [{"name": "s9234", "seconds": seconds,
-                      "latency_p50_ms": p95_ms * 0.4,
-                      "latency_p95_ms": p95_ms,
-                      "latency_p99_ms": p95_ms * 2.0,
-                      "runs": [{"clients": 1, "wall_s": 0.2,
-                                "chips_per_s": 30.0, "sheds": 0,
-                                "reconnects": 0},
-                               {"clients": 4, "wall_s": 0.3,
-                                "chips_per_s": 80.0, "sheds": 0,
-                                "reconnects": 0}]}],
-    }
+def with_candidate(out_dir, base, name, stdout):
+    """A copy of history `base` with one more line appended."""
+    hist = os.path.join(out_dir, name)
+    shutil.copyfile(base, hist)
+    append(hist, stdout)
+    return hist
 
 
 def main(argv):
-    scratch = argv[1] if len(argv) > 1 else tempfile.mkdtemp()
-    os.makedirs(scratch, exist_ok=True)
-    hist = os.path.join(scratch, "selfcheck_history.jsonl")
-    art = os.path.join(scratch, "selfcheck_artifact.json")
-    if os.path.exists(hist):
-        os.remove(hist)
+    out_dir = argv[1] if len(argv) > 1 else tempfile.mkdtemp()
+    os.makedirs(out_dir, exist_ok=True)
+    base = os.path.join(out_dir, "selfcheck_history.jsonl")
+    if os.path.exists(base):
+        os.remove(base)
+    # Four earlier runs of the same (workload, nproc, build_type).
+    for scale in (1.0, 1.04, 0.98, 1.02):
+        append(base, run_output(scale))
 
-    # Seed a baseline: four prior runs of the same workload shape.
-    for i, seconds in enumerate([10.0, 10.4, 9.8, 10.2]):
-        with open(art, "w") as f:
-            json.dump(table1_artifact(f"{i:016x}", f"sha{i:04}", seconds), f)
-        expect(run("append_bench_history.py", "append", art, hist), 0,
-               f"append baseline run {i}")
+    healthy = with_candidate(out_dir, base, "selfcheck_healthy.jsonl",
+                             run_output(1.01))
+    expect_check(healthy, 0, "healthy rerun passes")
+    expect_check(healthy, 1, "2x injected slowdown fails",
+                 "--inject-slowdown", "2.0")
 
-    # Stale re-append of the tail artifact must be refused.
-    expect(run("append_bench_history.py", "append", art, hist), 1,
-           "refuse stale tail re-append")
+    slow = with_candidate(out_dir, base, "selfcheck_chips.jsonl",
+                          run_output(chips_per_s=HEALTHY["chips_per_s"] / 2))
+    expect_check(slow, 1, "halved chips_per_s (higher is better) fails")
 
-    # Invalid schema must be refused before anything is written.
-    with open(art, "w") as f:
-        json.dump({"git_sha": "deadbee", "threads": 4}, f)
-    expect(run("append_bench_history.py", "append", art, hist), 1,
-           "refuse invalid schema")
+    tail = with_candidate(out_dir, base, "selfcheck_tail.jsonl",
+                          run_output(tail_ms=HEALTHY["tail_ms"] * 2))
+    expect_check(tail, 1, "doubled tail_ms (lower is better) fails")
 
-    # A malformed line mid-history must not poison later appends.
-    with open(hist, "a") as f:
-        f.write("{torn line from a crash\n")
-    with open(art, "w") as f:
-        json.dump(table1_artifact("00000000000000ff", "sha0005", 10.1), f)
-    expect(run("append_bench_history.py", "append", art, hist), 0,
-           "append past malformed line")
+    other = with_candidate(out_dir, base, "selfcheck_nproc.jsonl",
+                           run_output(nproc=8,
+                                      chips_per_s=HEALTHY["chips_per_s"] / 2))
+    expect_check(other, 0, "different nproc is not judged against the "
+                           "nproc 4 baseline")
 
-    # Sentry: the fresh run is within threshold of the rolling median.
-    expect(run("check_bench_regression.py", "--history", hist, "--last", "1"),
-           0, "sentry passes healthy run")
+    with open(base, "rb") as f:
+        before = f.read()
+    for what, stdout, code in (
+            ("loaded_host run", run_output(loaded=True), 0),
+            ("correct: false run", run_output(correct=False), 0),
+            ("non-zero exit", run_output(), 1),
+            ("run without a result line", "perfbench: build failed\n", 0)):
+        why = bench_history.append_run(base, code, stdout, METRICS)
+        with open(base, "rb") as f:
+            after = f.read()
+        if why is None or after != before:
+            fail(f"append accepted a {what}")
+        print(f"ok: append refuses a {what} ({why}), history unchanged")
 
-    # Sentry: the SAME data with a 2x injected slowdown must fail -- this
-    # is the proof the CI gate fires when perf regresses.
-    expect(run("check_bench_regression.py", "--history", hist, "--last", "1",
-               "--inject-slowdown", "2.0"),
-           1, "sentry fails 2x injected slowdown")
-
-    # A genuine slow record appended for real must also fail.
-    with open(art, "w") as f:
-        json.dump(table1_artifact("00000000000000aa", "sha0006", 25.0), f)
-    expect(run("append_bench_history.py", "append", art, hist), 0,
-           "append genuinely slow run")
-    expect(run("check_bench_regression.py", "--history", hist, "--last", "1"),
-           1, "sentry fails real 2.5x regression")
-
-    # Serve-shape records ("bench": "serve", clients/batch instead of a
-    # scale/samples-only shape) must append and survive --check (on a
-    # clean history: the torn line above still fails --check by design).
-    serve_hist = os.path.join(scratch, "selfcheck_serve_history.jsonl")
-    if os.path.exists(serve_hist):
-        os.remove(serve_hist)
-    with open(art, "w") as f:
-        json.dump(serve_artifact("00000000000000bb", "sha0007", 3.0), f)
-    expect(run("append_bench_history.py", "append", art, serve_hist), 0,
-           "append serve-bench record")
-    expect(run("append_bench_history.py", "--check", serve_hist), 0,
-           "--check accepts serve-bench record")
-    # A serve artifact missing its shape fields must be refused.
-    broken = serve_artifact("00000000000000cc", "sha0008", 3.0)
-    del broken["clients"]
-    with open(art, "w") as f:
-        json.dump(broken, f)
-    expect(run("append_bench_history.py", "append", art, serve_hist), 1,
-           "refuse serve record without clients")
-    # ... and so must one without its latency percentiles (the serve
-    # schema carries the server-reported p50/p95/p99 since the stats op
-    # landed).
-    broken = serve_artifact("00000000000000cd", "sha0008", 3.0)
-    del broken["latency_p95_ms"]
-    with open(art, "w") as f:
-        json.dump(broken, f)
-    expect(run("append_bench_history.py", "append", art, serve_hist), 1,
-           "refuse serve record without latency_p95_ms")
-
-    # Latency gate: seed a serve baseline, then append a run whose WALL
-    # time is healthy but whose tail latency tripled -- the sentry must
-    # fail on the percentile alone.
-    for i, p95 in enumerate([2.4, 2.6, 2.5, 2.5]):
-        with open(art, "w") as f:
-            json.dump(serve_artifact(f"{i + 16:016x}", f"sha01{i:02}", 3.0,
-                                     p95_ms=p95), f)
-        expect(run("append_bench_history.py", "append", art, serve_hist), 0,
-               f"append serve latency baseline run {i}")
-    expect(run("check_bench_regression.py", "--history", serve_hist,
-               "--last", "1"),
-           0, "sentry passes healthy serve latency")
-    with open(art, "w") as f:
-        json.dump(serve_artifact("00000000000000ee", "sha0109", 3.0,
-                                 p95_ms=7.5), f)
-    expect(run("append_bench_history.py", "append", art, serve_hist), 0,
-           "append serve run with 3x tail latency")
-    expect(run("check_bench_regression.py", "--history", serve_hist,
-               "--last", "1"),
-           1, "sentry fails serve tail-latency regression")
+    torn = with_candidate(out_dir, base, "selfcheck_torn.jsonl",
+                          run_output(1.01))
+    with open(torn, "a") as f:
+        f.write('{"record": {"workload": "diag')
+    expect_check(torn, 1, "torn line fails check")
 
     print("bench tooling self-check: all scenarios behaved")
     return 0
