@@ -1,5 +1,6 @@
 #include "obs/codec.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace sddd::obs {
@@ -64,9 +65,13 @@ std::string json_string(std::string_view s) {
 }
 
 std::string json_double(double v) {
+  // The standard defines general-format to_chars at a given precision as
+  // printf's %.*g, so these are %.17g's bytes, at about a quarter of
+  // snprintf's cost per value (GCC 12).
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace sddd::obs

@@ -50,8 +50,8 @@ void append_json_string(std::string& out, std::string_view s);
 /// append_json_string into a fresh string.
 std::string json_string(std::string_view s);
 
-/// `v` as %.17g: enough digits for an exact double round trip, so equal
-/// doubles always print equal bytes.
+/// `v` as %.17g (rendered by std::to_chars): enough digits for an exact
+/// double round trip, so equal doubles always print equal bytes.
 std::string json_double(double v);
 
 }  // namespace sddd::obs

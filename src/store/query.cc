@@ -16,8 +16,9 @@ using netlist::ArcId;
 
 namespace {
 
-/// The engine's column source: the stored E (or S) section, one column
-/// per suspect (the store keeps no shared baseline).
+/// The engine's column source: the stored E (or S) columns, and the
+/// pattern's shared column (M, or zero under S) for every suspect whose E
+/// column equals M - score_suspects() evaluates one phi for all of those.
 class StoreColumns final : public diagnosis::ColumnSource {
  public:
   StoreColumns(const DictionaryStore& st, bool match_on_total_probability)
@@ -27,10 +28,9 @@ class StoreColumns final : public diagnosis::ColumnSource {
                         std::vector<const double*>& out) const override {
     out.resize(suspects.size());
     for (std::size_t s = 0; s < suspects.size(); ++s) {
-      out[s] = match_e_ ? st_->e_column(j, suspects[s])
-                        : st_->s_column(j, suspects[s]);
+      out[s] = st_->column(j, suspects[s], match_e_);
     }
-    return nullptr;
+    return st_->shared_column(j, match_e_);
   }
 
  private:

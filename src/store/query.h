@@ -4,12 +4,14 @@
 // suspect extraction walks the stored per-(pattern, output) cone bitsets
 // and selects through the diagnoser's select_suspects(), and scoring is
 // the diagnoser's own loop, diagnosis::score_suspects(), with the stored
-// E (or S) columns as its column source.  Because the store's columns were
-// produced by the identical PatternSlice code paths and are raw doubles,
-// the engine's scores, keys, ranks and captured phi are BIT-IDENTICAL to
-// an in-process Diagnoser::diagnose() over a freshly built dictionary at
-// the store's config - the byte-identity contract ci.sh enforces end to
-// end through the serve path.  The engine scores on the caller's thread;
+// E (or S) columns as its column source and the pattern's M (or zero)
+// column shared by every suspect the store holds no column for.  Because
+// the store's columns were produced by the identical PatternSlice code
+// paths and are raw doubles, and a column equal to M scores exactly as M
+// does, the engine's scores, keys, ranks and captured phi are
+// BIT-IDENTICAL to an in-process Diagnoser::diagnose() over a freshly
+// built dictionary at the store's config - the byte-identity contract
+// ci.sh enforces end to end through the serve path.  The engine scores on the caller's thread;
 // the server already runs one request per connection thread.
 //
 // diagnose_batch_json() is the single response renderer: `sddd_cli dict
@@ -42,7 +44,7 @@ class StoreQueryEngine {
       const diagnosis::BehaviorMatrix& B) const;
 
   /// Full diagnosis over the stored columns.  `match_on_total_probability`
-  /// selects the E ("e", default) vs S ("s") section;
+  /// selects E ("e", default) vs S ("s") matching;
   /// `capture_phi` populates DiagnosisResult::phi.  B must be
   /// n_outputs() x n_patterns().
   diagnosis::DiagnosisResult diagnose(const diagnosis::BehaviorMatrix& B,

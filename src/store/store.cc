@@ -10,6 +10,8 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -121,6 +123,28 @@ std::uint64_t fnv1a(const unsigned char* p, std::uint64_t n) {
 
 std::uint64_t padded_to(std::uint64_t offset, std::uint64_t align) {
   return (offset + align - 1) / align * align;
+}
+
+/// [offset, offset + bytes) lies inside a file of `size` bytes.  Written
+/// without the sum, which a crafted header can wrap past 2^64.
+bool extent_fits(std::uint64_t offset, std::uint64_t bytes,
+                 std::uint64_t size) {
+  return offset <= size && bytes <= size - offset;
+}
+
+/// The product of `factors` - header dimensions - or a StoreError naming
+/// `section` when it does not fit in 64 bits.
+std::uint64_t checked_product(std::initializer_list<std::uint64_t> factors,
+                              const std::string& section,
+                              const std::string& path) {
+  std::uint64_t product = 1;
+  for (const std::uint64_t f : factors) {
+    if (__builtin_mul_overflow(product, f, &product)) {
+      throw StoreError(section, path + ": section '" + section +
+                                    "' size overflows 64 bits");
+    }
+  }
+  return product;
 }
 
 /// The model/simulator stack a store build runs on.  Construction mirrors
@@ -262,9 +286,8 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   const std::size_t input_words = (n_inputs + 63) / 64;
   const std::size_t arc_words = (n_arcs + 63) / 64;
 
-  // Per-arc defect-size tables, shared by the "sizes" section and every
-  // e/s column build (sizes[a][k] == size_model.sample(a, k), the
-  // diagnoser's own precompute).
+  // Per-arc defect-size tables for the E column builds (sizes[a][k] ==
+  // size_model.sample(a, k), the diagnoser's own precompute).
   std::vector<std::vector<double>> size_tables(n_arcs);
   runtime::parallel_for(n_arcs, [&](std::size_t a) {
     auto& table = size_tables[a];
@@ -274,74 +297,74 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     }
   });
 
+  // Section payloads in file order.
+  std::string payloads[kStoreSectionCount];
+  std::string& pattern_bytes = payloads[0];
+  std::string& cone_bytes = payloads[1];
+  std::string& m_bytes = payloads[2];
+  std::string& e_bytes = payloads[3];
+  cone_bytes.reserve(n_patterns * n_outputs * arc_words * 8);
+  m_bytes.reserve(n_patterns * n_outputs * 8);
+  for (const auto& pat : stack.patterns) {
+    pack_pattern_bits(pat.v1, input_words, &pattern_bytes);
+    pack_pattern_bits(pat.v2, input_words, &pattern_bytes);
+  }
+
   // One pass per pattern: the slice materializes the baseline arrivals
-  // once; every arc's E and S columns evaluate against it in parallel
-  // (each (pattern, arc) writes only its own rows - deterministic at any
-  // thread count), and the pattern's per-output cone bitsets come from
-  // the same transition graph.
-  std::vector<double> m_data(n_patterns * n_outputs);
-  std::vector<double> e_data(n_patterns * n_arcs * n_outputs);
-  std::vector<double> s_data(n_patterns * n_arcs * n_outputs);
-  std::vector<std::uint64_t> cone_data(n_patterns * n_outputs * arc_words, 0);
+  // once and its transition graph yields the per-output cone bitsets.  An
+  // arc the pattern does not sensitize has E == M by construction, so
+  // only the active arcs' E columns are evaluated, in parallel (each
+  // writes only its own rows - deterministic at any thread count), and
+  // only those that differ from M bitwise are stored.
+  std::vector<std::uint64_t> cone_row(arc_words);
+  std::vector<ArcId> active;
+  std::vector<double> e_cols;
+  std::vector<char> differs;
   for (std::size_t j = 0; j < n_patterns; ++j) {
     runtime::poll_cancellation();
     const diagnosis::PatternSlice slice(stack.dict_sim, stack.logic_sim,
                                         stack.lev, stack.patterns[j],
                                         stack.clk);
-    std::copy(slice.m_column().begin(), slice.m_column().end(),
-              m_data.begin() + static_cast<std::ptrdiff_t>(j * n_outputs));
+    const std::vector<double>& m = slice.m_column();
+    for (const double v : m) put_f64(&m_bytes, v);
     const paths::TransitionGraph& tg = slice.transition_graph();
     for (std::size_t i = 0; i < n_outputs; ++i) {
       const auto cone = tg.cone_to_output(nl.outputs()[i]);
-      std::uint64_t* row =
-          cone_data.data() + (j * n_outputs + i) * arc_words;
+      std::fill(cone_row.begin(), cone_row.end(), 0);
       for (std::size_t a = 0; a < n_arcs; ++a) {
-        if (cone[a]) row[a >> 6] |= 1ULL << (a & 63);
+        if (cone[a]) cone_row[a >> 6] |= 1ULL << (a & 63);
       }
+      for (const std::uint64_t w : cone_row) put_u64(&cone_bytes, w);
     }
+
+    active.clear();
+    for (ArcId a = 0; a < n_arcs; ++a) {
+      if (tg.is_active(a)) active.push_back(a);
+    }
+    e_cols.resize(active.size() * n_outputs);
+    differs.assign(active.size(), 0);
     runtime::parallel_for_chunked(
-        n_arcs, 16, [&](std::size_t lo, std::size_t hi) {
+        active.size(), 16, [&](std::size_t lo, std::size_t hi) {
           std::vector<double> col;
-          for (std::size_t a = lo; a < hi; ++a) {
-            const std::size_t base = (j * n_arcs + a) * n_outputs;
-            slice.e_column_into(static_cast<ArcId>(a), size_tables[a], col);
+          for (std::size_t k = lo; k < hi; ++k) {
+            slice.e_column_into(active[k], size_tables[active[k]], col);
+            differs[k] = std::memcmp(col.data(), m.data(),
+                                     n_outputs * sizeof(double)) != 0;
             std::copy(col.begin(), col.end(),
-                      e_data.begin() + static_cast<std::ptrdiff_t>(base));
-            slice.signature_column_into(static_cast<ArcId>(a), size_tables[a],
-                                        col);
-            std::copy(col.begin(), col.end(),
-                      s_data.begin() + static_cast<std::ptrdiff_t>(base));
+                      e_cols.begin() +
+                          static_cast<std::ptrdiff_t>(k * n_outputs));
           }
         });
-  }
-
-  // Section payloads in file order.
-  std::string payloads[kStoreSectionCount];
-  {
-    std::string& p = payloads[0];  // patterns
-    p.reserve(n_patterns * 2 * input_words * 8);
-    for (const auto& pat : stack.patterns) {
-      pack_pattern_bits(pat.v1, input_words, &p);
-      pack_pattern_bits(pat.v2, input_words, &p);
+    put_u64(&e_bytes, static_cast<std::uint64_t>(
+                          std::count(differs.begin(), differs.end(), 1)));
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      if (differs[k]) put_u64(&e_bytes, active[k]);
     }
-  }
-  {
-    std::string& p = payloads[1];  // cones
-    p.reserve(cone_data.size() * 8);
-    for (const std::uint64_t w : cone_data) put_u64(&p, w);
-  }
-  const auto put_doubles = [](std::string& p, const std::vector<double>& d) {
-    p.reserve(d.size() * 8);
-    for (const double v : d) put_f64(&p, v);
-  };
-  put_doubles(payloads[2], m_data);
-  put_doubles(payloads[3], e_data);
-  put_doubles(payloads[4], s_data);
-  {
-    std::string& p = payloads[5];  // sizes
-    p.reserve(n_arcs * n_samples * 8);
-    for (const auto& table : size_tables) {
-      for (const double v : table) put_f64(&p, v);
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      if (!differs[k]) continue;
+      for (std::size_t i = 0; i < n_outputs; ++i) {
+        put_f64(&e_bytes, e_cols[k * n_outputs + i]);
+      }
     }
   }
 
@@ -554,15 +577,15 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     // Name the first section the truncation eats into; a file *longer*
     // than the header claims is a framing error on the file itself.
     for (const StoreSectionInfo& sec : sections_) {
-      if (sec.offset + sec.bytes > map_bytes_) {
+      if (!extent_fits(sec.offset, sec.bytes, map_bytes_)) {
         throw StoreError(
-            sec.name, path_ + ": truncated: section '" + sec.name +
-                          "' extends to byte " +
-                          std::to_string(sec.offset + sec.bytes) +
-                          " but the file has only " +
+            sec.name, path_ + ": truncated: section '" + sec.name + "' [" +
+                          std::to_string(sec.offset) + ", +" +
+                          std::to_string(sec.bytes) +
+                          ") runs past the file's " +
                           std::to_string(map_bytes_) +
-                          " (header expects " + std::to_string(file_bytes_) +
-                          ")");
+                          " bytes (header expects " +
+                          std::to_string(file_bytes_) + ")");
       }
     }
     throw StoreError("file", path_ + ": file is " +
@@ -579,7 +602,7 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
                                      kStoreSectionNames[s] + "'");
     }
     if (sec.offset % kStoreSectionAlign != 0 ||
-        sec.offset + sec.bytes > map_bytes_) {
+        !extent_fits(sec.offset, sec.bytes, map_bytes_)) {
       throw StoreError(sec.name, path_ + ": section '" + sec.name +
                                      "' has an invalid extent [" +
                                      std::to_string(sec.offset) + ", +" +
@@ -596,19 +619,17 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
     }
   }
 
-  // Geometry: every section must be exactly the size the header's
-  // dimensions imply, or pointer arithmetic below would read junk.
+  // Geometry: every fixed-layout section must be exactly the size the
+  // header's dimensions imply, or pointer arithmetic below would read junk.
   input_words_ = (n_inputs_ + 63) / 64;
   arc_words_ = (n_arcs_ + 63) / 64;
-  const std::uint64_t expect[kStoreSectionCount] = {
-      static_cast<std::uint64_t>(n_patterns_) * 2 * input_words_ * 8,
-      static_cast<std::uint64_t>(n_patterns_) * n_outputs_ * arc_words_ * 8,
-      static_cast<std::uint64_t>(n_patterns_) * n_outputs_ * 8,
-      static_cast<std::uint64_t>(n_patterns_) * n_arcs_ * n_outputs_ * 8,
-      static_cast<std::uint64_t>(n_patterns_) * n_arcs_ * n_outputs_ * 8,
-      static_cast<std::uint64_t>(n_arcs_) * mc_samples_ * 8,
+  const std::uint64_t expect[] = {
+      checked_product({n_patterns_, 2, input_words_, 8}, "patterns", path_),
+      checked_product({n_patterns_, n_outputs_, arc_words_, 8}, "cones",
+                      path_),
+      checked_product({n_patterns_, n_outputs_, 8}, "m", path_),
   };
-  for (std::size_t s = 0; s < kStoreSectionCount; ++s) {
+  for (std::size_t s = 0; s < std::size(expect); ++s) {
     if (sections_[s].bytes != expect[s]) {
       throw StoreError(sections_[s].name,
                        path_ + ": section '" + sections_[s].name + "' is " +
@@ -621,9 +642,7 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
       reinterpret_cast<const std::uint64_t*>(map_ + sections_[0].offset);
   cones_ = reinterpret_cast<const std::uint64_t*>(map_ + sections_[1].offset);
   m_ = reinterpret_cast<const double*>(map_ + sections_[2].offset);
-  e_ = reinterpret_cast<const double*>(map_ + sections_[3].offset);
-  s_ = reinterpret_cast<const double*>(map_ + sections_[4].offset);
-  sizes_ = reinterpret_cast<const double*>(map_ + sections_[5].offset);
+  index_e_section();
 
   if (expect_fingerprint != 0 && fingerprint_ != expect_fingerprint) {
     throw StoreError("header",
@@ -631,6 +650,76 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
                          obs::hex64(fingerprint_) + ", expected " +
                          obs::hex64(expect_fingerprint));
   }
+}
+
+void DictionaryStore::index_e_section() {
+  const StoreSectionInfo& sec = sections_[3];
+  const auto fail = [&](const std::string& what) {
+    throw StoreError(sec.name, path_ + ": malformed '" + sec.name +
+                                   "' index: " + what);
+  };
+  if (sec.bytes % 8 != 0) fail("not a whole number of 8-byte words");
+  const auto* words = reinterpret_cast<const std::uint64_t*>(map_ + sec.offset);
+  const std::uint64_t n_words = sec.bytes / 8;
+  // Every pattern starts with its column count, so this also bounds the
+  // per-pattern index below by the file size.
+  if (n_patterns_ > n_words) {
+    fail(std::to_string(n_patterns_) + " patterns but only " +
+         std::to_string(n_words) + " words");
+  }
+  std::uint64_t at = 0;
+  std::size_t n_stored = 0;
+  stored_.assign(n_patterns_, StoredColumns{});
+  for (std::size_t j = 0; j < n_patterns_; ++j) {
+    const auto pattern = [j] { return "pattern " + std::to_string(j); };
+    if (at == n_words) fail(pattern() + " has no column count");
+    const std::uint64_t n = words[at++];
+    // n arc ids and n columns of n_outputs doubles must fit in what is left.
+    std::uint64_t need = 0;
+    if (__builtin_mul_overflow(n, std::uint64_t{n_outputs_} + 1, &need) ||
+        need > n_words - at) {
+      fail(pattern() + " claims " + std::to_string(n) +
+           " columns, which overrun the section");
+    }
+    const std::uint64_t* arcs = words + at;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      if (arcs[k] >= n_arcs_) {
+        fail(pattern() + " stores arc " + std::to_string(arcs[k]) +
+             ", the circuit has " + std::to_string(n_arcs_));
+      }
+      if (k > 0 && arcs[k] <= arcs[k - 1]) {
+        fail(pattern() + " arc ids are not strictly ascending at " +
+             std::to_string(arcs[k]));
+      }
+    }
+    at += n;
+    stored_[j] = StoredColumns{arcs, static_cast<std::size_t>(n),
+                               reinterpret_cast<const double*>(words + at),
+                               nullptr};
+    at += n * n_outputs_;
+    n_stored += static_cast<std::size_t>(n);
+  }
+  if (at != n_words) {
+    fail(std::to_string((n_words - at) * 8) + " trailing bytes");
+  }
+
+  // S = max(E - M, 0) of every stored column, with the dictionary's own
+  // expression (PatternSlice::signature_column_into), so the bytes are
+  // the ones a fresh dictionary computes.  Every other pair's S is zero.
+  s_data_.resize(n_stored * n_outputs_);
+  double* s = s_data_.data();
+  for (std::size_t j = 0; j < n_patterns_; ++j) {
+    StoredColumns& sc = stored_[j];
+    sc.s = s;
+    const double* m = m_column(j);
+    for (std::size_t k = 0; k < sc.n; ++k) {
+      const double* e = sc.e + k * n_outputs_;
+      for (std::size_t i = 0; i < n_outputs_; ++i) {
+        *s++ = std::max(e[i] - m[i], 0.0);
+      }
+    }
+  }
+  zero_column_.assign(n_outputs_, 0.0);
 }
 
 DictionaryStore::~DictionaryStore() {
@@ -647,16 +736,19 @@ const double* DictionaryStore::m_column(std::size_t j) const {
   return m_ + j * n_outputs_;
 }
 
-const double* DictionaryStore::e_column(std::size_t j, ArcId arc) const {
-  return e_ + (j * n_arcs_ + static_cast<std::size_t>(arc)) * n_outputs_;
+const double* DictionaryStore::shared_column(std::size_t j,
+                                             bool match_e) const {
+  return match_e ? m_column(j) : zero_column_.data();
 }
 
-const double* DictionaryStore::s_column(std::size_t j, ArcId arc) const {
-  return s_ + (j * n_arcs_ + static_cast<std::size_t>(arc)) * n_outputs_;
-}
-
-const double* DictionaryStore::size_table(ArcId arc) const {
-  return sizes_ + static_cast<std::size_t>(arc) * mc_samples_;
+const double* DictionaryStore::column(std::size_t j, ArcId arc,
+                                      bool match_e) const {
+  const StoredColumns& sc = stored_[j];
+  const std::uint64_t* end = sc.arcs + sc.n;
+  const std::uint64_t* it = std::lower_bound(sc.arcs, end, arc);
+  if (it == end || *it != arc) return shared_column(j, match_e);
+  const auto k = static_cast<std::size_t>(it - sc.arcs);
+  return (match_e ? sc.e : sc.s) + k * n_outputs_;
 }
 
 const std::uint64_t* DictionaryStore::cone_row(std::size_t j,

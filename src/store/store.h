@@ -12,15 +12,17 @@
 // ci.sh cmp-checks.
 //
 // Read side: DictionaryStore mmaps the file read-only and verifies the
-// header and every per-section FNV-1a checksum ON OPEN - a store that
-// opens is a store whose every byte has been vouched for; afterwards all
-// accessors are raw pointer arithmetic into the mapping.  Verification
-// failures throw sddd::StoreError naming the offending section.
+// header, every per-section FNV-1a checksum and the "e" index ON OPEN - a
+// store that opens is a store whose every byte has been vouched for;
+// afterwards all accessors are raw pointer arithmetic into the mapping
+// (plus the S columns of the stored pairs, derived once at open).
+// Verification failures throw sddd::StoreError naming the offending
+// section.
 //
 // Fault seams (obs/faults.h): `store.open` (k = process-wide open
 // ordinal) fails the open(2)/mmap step; `store.crc` (k = process-wide
-// section-verify ordinal; each open verifies header + 6 sections in file
-// order, so open n covers k in [7n, 7n+6]) forges a checksum mismatch.
+// section-verify ordinal; each open verifies header + 4 sections in file
+// order, so open n covers k in [5n, 5n+4]) forges a checksum mismatch.
 #pragma once
 
 #include <cstdint>
@@ -128,12 +130,15 @@ class DictionaryStore {
 
   /// M_crt column of pattern j: n_outputs() doubles.
   const double* m_column(std::size_t j) const;
-  /// E_crt column of (pattern j, suspect arc): n_outputs() doubles.
-  const double* e_column(std::size_t j, netlist::ArcId arc) const;
-  /// S column of (pattern j, suspect arc): n_outputs() doubles.
-  const double* s_column(std::size_t j, netlist::ArcId arc) const;
-  /// Defect-size table of an arc: mc_samples() doubles.
-  const double* size_table(netlist::ArcId arc) const;
+  /// The column every arc without a stored column shares under pattern
+  /// j: m_column(j) under E matching, a zero column under S matching.
+  const double* shared_column(std::size_t j, bool match_e) const;
+  /// Column of (pattern j, suspect arc), n_outputs() doubles: E_crt under
+  /// E matching, S = max(E - M, 0) under S matching.  Exactly
+  /// shared_column(j, match_e) unless the "e" section stores the pair,
+  /// i.e. unless its E column differs from M.
+  const double* column(std::size_t j, netlist::ArcId arc,
+                       bool match_e) const;
   /// Words per cone bitset row (= ceil(n_arcs / 64)).
   std::size_t arc_words() const { return arc_words_; }
   /// Cone bitset of (pattern j, output row i): arc_words() words, bit a =
@@ -141,11 +146,21 @@ class DictionaryStore {
   const std::uint64_t* cone_row(std::size_t j, std::size_t output) const;
   /// Pattern j unpacked back to the two-vector test it was built from.
   logicsim::PatternPair pattern(std::size_t j) const;
-  /// All patterns (the order E/M/S columns are indexed by).
+  /// All patterns (the order the columns are indexed by).
   std::vector<logicsim::PatternPair> patterns() const;
 
  private:
   void parse_and_verify(std::uint64_t expect_fingerprint);
+  void index_e_section();
+
+  /// Pattern j's stored columns: arcs[0..n) ascending, E columns at e,
+  /// their S columns at s (all n x n_outputs doubles).
+  struct StoredColumns {
+    const std::uint64_t* arcs = nullptr;
+    std::size_t n = 0;
+    const double* e = nullptr;
+    const double* s = nullptr;
+  };
 
   std::string path_;
   const unsigned char* map_ = nullptr;
@@ -173,9 +188,9 @@ class DictionaryStore {
   const std::uint64_t* patterns_ = nullptr;
   const std::uint64_t* cones_ = nullptr;
   const double* m_ = nullptr;
-  const double* e_ = nullptr;
-  const double* s_ = nullptr;
-  const double* sizes_ = nullptr;
+  std::vector<StoredColumns> stored_;  ///< per pattern
+  std::vector<double> s_data_;         ///< every stored pair's S column
+  std::vector<double> zero_column_;    ///< n_outputs zeros
 };
 
 /// Non-throwing whole-file verification (the `dict verify` engine).

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -245,6 +250,31 @@ TEST(ObsCodec, JsonDoubleIsSeventeenSignificantDigits) {
   for (const double v : {1.0 / 3.0, 6.02214076e23, -2.5e-300, 4.9e-324}) {
     EXPECT_EQ(std::strtod(obs::json_double(v).c_str(), nullptr), v) << v;
   }
+
+  // json_double renders with std::to_chars; printf's %.17g stays the
+  // reference spelling.  Random bit patterns cover both NaN signs, the
+  // infinities, subnormals and every exponent.
+  const auto printf_17g = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {0.0, -0.0, kInf, -kInf, kNan, -kNan, 4.9e-324, 1e16,
+                         1e17}) {
+    EXPECT_EQ(obs::json_double(v), printf_17g(v)) << printf_17g(v);
+  }
+  std::mt19937_64 gen(0x5dddc0dec);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 120000; ++i) {
+    const double v = std::bit_cast<double>(gen());
+    if (obs::json_double(v) != printf_17g(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << "json_double(" << printf_17g(v) << ") = "
+                    << obs::json_double(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------------

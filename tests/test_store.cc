@@ -1,9 +1,10 @@
 // Tests for the persistent dictionary store: build determinism, the
+// sparse "e" section (exactly the E columns that differ from M), the
 // StoreQueryEngine's bit-identity to the reference scorer (score_oracle.h)
 // and to an in-process Diagnoser over the same dictionary world, and the
-// loader's corruption taxonomy (truncated
-// tails, single bit flips, version and fingerprint mismatches) with the
-// offending section named every time.
+// loader's corruption taxonomy (truncated tails, single bit flips, version
+// and fingerprint mismatches, wrapped extents, malformed "e" indexes)
+// with the offending section named every time.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include "defect/defect_model.h"
 #include "diagnosis/behavior.h"
 #include "diagnosis/diagnoser.h"
+#include "diagnosis/dictionary.h"
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
@@ -72,10 +74,95 @@ store::StoreBuildConfig small_config() {
   return config;
 }
 
-std::uint64_t injected_faults() {
+std::uint64_t counter_value(const std::string& name) {
   const auto counters = obs::MetricsRegistry::instance().snapshot().counters;
-  const auto it = counters.find("fault.injected");
+  const auto it = counters.find(name);
   return it == counters.end() ? 0 : it->second;
+}
+
+std::uint64_t injected_faults() { return counter_value("fault.injected"); }
+
+/// A serialized store with its section table located, so a test can
+/// rewrite a table entry or the final section and reseal every checksum:
+/// the check under test, not a crc, must then reject the file.
+struct StoreImage {
+  static constexpr std::size_t kEntryBytes = store::kStoreSectionNameLen + 24;
+  std::string bytes;
+  std::size_t table_at = 0;  ///< first section-table entry ("patterns")
+
+  explicit StoreImage(std::string b) : bytes(std::move(b)) {
+    table_at = bytes.find(std::string(store::kStoreSectionNames[0], 8));
+  }
+  std::uint64_t u64(std::size_t at) const {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 8);
+    return v;
+  }
+  void set_u64(std::size_t at, std::uint64_t v) {
+    std::memcpy(bytes.data() + at, &v, 8);
+  }
+  /// Table entry s: name, then u64 offset, bytes, crc.
+  std::size_t entry(std::size_t s) const {
+    return table_at + s * kEntryBytes + store::kStoreSectionNameLen;
+  }
+  std::size_t header_crc_at() const {
+    return table_at + store::kStoreSectionCount * kEntryBytes;
+  }
+  std::uint64_t offset(std::size_t s) const { return u64(entry(s)); }
+  std::uint64_t size(std::size_t s) const { return u64(entry(s) + 8); }
+
+  /// The final section's payload as words, and its replacement: resizes
+  /// the file, rewrites the entry and total_bytes, reseals both crcs.
+  std::vector<std::uint64_t> last_section_words() const {
+    const std::size_t s = store::kStoreSectionCount - 1;
+    std::vector<std::uint64_t> words(size(s) / 8);
+    std::memcpy(words.data(), bytes.data() + offset(s), size(s));
+    return words;
+  }
+  void set_last_section(const std::vector<std::uint64_t>& words) {
+    const std::size_t s = store::kStoreSectionCount - 1;
+    const std::string payload(reinterpret_cast<const char*>(words.data()),
+                              words.size() * 8);
+    bytes.resize(offset(s));
+    bytes.append(payload);
+    set_u64(entry(s) + 8, payload.size());
+    set_u64(entry(s) + 16, obs::fnv1a64(payload));
+    set_u64(table_at - 8, bytes.size());  // total_bytes precedes the table
+    reseal_header();
+  }
+  void reseal_header() {
+    const std::size_t at = header_crc_at();
+    set_u64(at, obs::fnv1a64(std::string_view(bytes.data(), at)));
+  }
+};
+
+/// The in-memory dictionary world a store built at `config` serialized
+/// (the same field seeds, size model and calibrated clk).
+struct DictionaryTwin {
+  netlist::Levelization lev;
+  timing::StatisticalCellLibrary lib;
+  timing::ArcDelayModel model;
+  timing::DelayField field;
+  logicsim::BitSimulator logic_sim;
+  timing::DynamicTimingSimulator sim;
+  defect::DefectSizeModel size_model;
+
+  DictionaryTwin(const netlist::Netlist& nl,
+                 const store::StoreBuildConfig& config)
+      : lev(nl),
+        lib(config.library),
+        model(nl, lib),
+        field(model, config.mc_samples, config.global_weight,
+              config.seed ^ 0xd1c7ULL),
+        logic_sim(nl, lev),
+        sim(field, lev),
+        size_model(model.mean_cell_delay(), config.defect_mean_lo,
+                   config.defect_mean_hi, config.defect_three_sigma,
+                   config.seed ^ 0x5e1fULL) {}
+};
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
 TEST(Store, SerializationIsDeterministic) {
@@ -155,6 +242,72 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
   }
 }
 
+TEST(Store, StoredColumnsAreExactlyThoseDifferingFromM) {
+  const auto nl = store_netlist();
+  const auto config = small_config();
+  const auto path = temp_path("stored_columns.dict");
+  store::build_dictionary_store(nl, config, path.string());
+  const store::DictionaryStore st(path.string());
+  const DictionaryTwin twin(nl, config);
+  const auto patterns = st.patterns();
+  const std::size_t n_out = st.n_outputs();
+  std::size_t n_stored = 0;
+  for (std::size_t j = 0; j < st.n_patterns(); ++j) {
+    const diagnosis::PatternSlice slice(twin.sim, twin.logic_sim, twin.lev,
+                                        patterns[j], st.clk());
+    ASSERT_TRUE(same_bits(slice.m_column().data(), st.m_column(j), n_out));
+    for (netlist::ArcId a = 0; a < st.n_arcs(); ++a) {
+      const auto e = slice.e_column(a, twin.size_model);
+      const bool differs = !same_bits(e.data(), st.m_column(j), n_out);
+      n_stored += differs;
+      // A stored pair holds the computed column and its S; every other
+      // pair reads the shared M (E matching) or zero (S matching) column.
+      const double* e_col = st.column(j, a, true);
+      const double* s_col = st.column(j, a, false);
+      EXPECT_EQ(e_col == st.shared_column(j, true), !differs) << j << "/" << a;
+      EXPECT_EQ(s_col == st.shared_column(j, false), !differs)
+          << j << "/" << a;
+      EXPECT_TRUE(same_bits(e.data(), e_col, n_out)) << j << "/" << a;
+      const auto sig = slice.signature_column(a, twin.size_model);
+      EXPECT_TRUE(same_bits(sig.data(), s_col, n_out)) << j << "/" << a;
+    }
+  }
+  // The test world must exercise both kinds of pair.
+  EXPECT_GT(n_stored, 0u);
+  EXPECT_LT(n_stored, st.n_patterns() * st.n_arcs());
+}
+
+TEST(Store, QueryScoresSharedColumnOncePerPattern) {
+  const auto nl = store_netlist();
+  const auto path = temp_path("shared_phi.dict");
+  store::build_dictionary_store(nl, small_config(), path.string());
+  const store::DictionaryStore st(path.string());
+  const store::StoreQueryEngine engine(st);
+  const std::vector<diagnosis::Method> methods = {diagnosis::Method::kSimI,
+                                                  diagnosis::Method::kRev};
+  const auto chips = store::sample_failing_chips(nl, st, 3);
+  ASSERT_FALSE(chips.empty());
+  for (const auto& chip : chips) {
+    const auto suspects = engine.extract_suspects(chip.B);
+    std::size_t stored_pairs = 0;
+    for (std::size_t j = 0; j < st.n_patterns(); ++j) {
+      for (const netlist::ArcId a : suspects) {
+        stored_pairs += st.column(j, a, true) != st.shared_column(j, true);
+      }
+    }
+    // One phi per pattern for every suspect without a stored column, one
+    // per stored pair: well under a phi per (suspect, pattern).
+    const std::size_t bound = st.n_patterns() + stored_pairs;
+    ASSERT_LT(bound, suspects.size() * st.n_patterns());
+    for (const bool match_e : {true, false}) {
+      const std::uint64_t before = counter_value("diag.phi_evals");
+      engine.diagnose(chip.B, methods, match_e);
+      EXPECT_LE(counter_value("diag.phi_evals") - before, bound)
+          << (match_e ? "e" : "s");
+    }
+  }
+}
+
 TEST(Store, TruncatedTailNamesTheSection) {
   const auto nl = store_netlist();
   const std::string bytes =
@@ -163,8 +316,82 @@ TEST(Store, TruncatedTailNamesTheSection) {
   write_raw(path, bytes.substr(0, bytes.size() - 16));
   const auto report = store::verify_store_file(path.string());
   EXPECT_FALSE(report.ok);
-  // "sizes" is the final section, so a cut tail lands there.
-  EXPECT_EQ(report.bad_section, "sizes") << report.message;
+  // "e" is the final section, so a cut tail lands there.
+  EXPECT_EQ(report.bad_section, "e") << report.message;
+}
+
+TEST(Store, WrappedSectionExtentIsTypedError) {
+  const auto nl = store_netlist();
+  StoreImage image(store::serialize_dictionary_store(nl, small_config()));
+  // offset + bytes wraps past 2^64 to 64, inside the file: only a check
+  // written without the sum sees that the extent starts 2^64 - 2^40 bytes
+  // in.  The header crc is FNV-1a, so anyone can reseal it.
+  const std::size_t cones = 1;
+  ASSERT_STREQ(store::kStoreSectionNames[cones], "cones");
+  image.set_u64(image.entry(cones), 0 - (std::uint64_t{1} << 40));
+  image.set_u64(image.entry(cones) + 8, (std::uint64_t{1} << 40) + 64);
+  image.reseal_header();
+  // Whole file (the per-section extent check) and a cut tail (the
+  // truncation scan that names the first section past the end).
+  for (const std::size_t cut : {0, 16}) {
+    const auto path = temp_path("wrapped.dict");
+    write_raw(path, image.bytes.substr(0, image.bytes.size() - cut));
+    const auto report = store::verify_store_file(path.string());
+    EXPECT_FALSE(report.ok) << cut;
+    EXPECT_EQ(report.bad_section, "cones") << report.message;
+  }
+}
+
+TEST(Store, MalformedEIndexIsTypedError) {
+  const auto nl = store_netlist();
+  const StoreImage good(store::serialize_dictionary_store(nl, small_config()));
+  const std::size_t n_out = nl.outputs().size();
+  const std::vector<std::uint64_t> words = good.last_section_words();
+  // Word offsets of each pattern's column count, and the first pattern
+  // storing at least two columns.
+  std::vector<std::size_t> counts;
+  std::size_t two = words.size();
+  for (std::size_t at = 0; at < words.size();
+       at += 1 + words[at] * (1 + n_out)) {
+    counts.push_back(at);
+    if (two == words.size() && words[at] >= 2) two = at;
+  }
+  ASSERT_LT(two, words.size()) << "test world stores no pattern with 2 arcs";
+
+  struct Case {
+    const char* what;
+    const char* message;  ///< the check that must fire
+    std::vector<std::uint64_t> words;
+  };
+  std::vector<Case> cases;
+  // The last arc of the pattern, so the ids stay ascending.
+  cases.push_back({"arc >= n_arcs", "stores arc", words});
+  cases.back().words[two + words[two]] = nl.arc_count();
+  cases.push_back({"arcs not ascending", "ascending", words});
+  cases.back().words[two + 2] = words[two + 1];
+  cases.push_back({"count overruns the section", "overrun", words});
+  cases.back().words[counts.back()] += 1;
+  // count * (1 + n_outputs) wraps past 2^64 to a few words.
+  cases.push_back({"count overflows", "overrun", words});
+  cases.back().words[counts.front()] = UINT64_MAX / (1 + n_out) + 1;
+  cases.push_back({"trailing bytes", "trailing", words});
+  cases.back().words.push_back(0);
+  for (const Case& c : cases) {
+    StoreImage bad = good;
+    bad.set_last_section(c.words);
+    const auto path = temp_path("bad_index.dict");
+    write_raw(path, bad.bytes);
+    const auto report = store::verify_store_file(path.string());
+    EXPECT_FALSE(report.ok) << c.what;
+    EXPECT_EQ(report.bad_section, "e") << c.what << ": " << report.message;
+    EXPECT_NE(report.message.find(c.message), std::string::npos)
+        << c.what << ": " << report.message;
+  }
+  // Resealing the untouched words reproduces the good file, so each case
+  // above differs from a valid store only in its one edit.
+  StoreImage same = good;
+  same.set_last_section(words);
+  EXPECT_EQ(same.bytes, good.bytes);
 }
 
 TEST(Store, SingleBitFlipNamesTheSection) {
@@ -203,19 +430,24 @@ TEST(Store, VersionMismatchRejected) {
     }
   }
   ASSERT_GT(crc_pos, 0u) << "header checksum not found";
-  // Bump the format version (u32 after the 8-byte magic) and re-seal the
-  // header so the version check, not the checksum, does the rejecting.
-  bytes[8] = static_cast<char>(bytes[8] + 1);
-  const std::uint64_t crc =
-      obs::fnv1a64(std::string_view(bytes.data(), crc_pos));
-  std::memcpy(bytes.data() + crc_pos, &crc, 8);
-  const auto path = temp_path("version.dict");
-  write_raw(path, bytes);
-  const auto report = store::verify_store_file(path.string());
-  EXPECT_FALSE(report.ok);
-  EXPECT_EQ(report.bad_section, "header");
-  EXPECT_NE(report.message.find("version"), std::string::npos)
-      << report.message;
+  // Stamp the previous and the next format version (u32 after the 8-byte
+  // magic) and re-seal the header so the version check, not the checksum,
+  // does the rejecting: one reader, one format.
+  for (const std::uint32_t version :
+       {store::kStoreFormatVersion - 1, store::kStoreFormatVersion + 1}) {
+    std::memcpy(bytes.data() + 8, &version, 4);
+    const std::uint64_t crc =
+        obs::fnv1a64(std::string_view(bytes.data(), crc_pos));
+    std::memcpy(bytes.data() + crc_pos, &crc, 8);
+    const auto path = temp_path("version.dict");
+    write_raw(path, bytes);
+    const auto report = store::verify_store_file(path.string());
+    EXPECT_FALSE(report.ok);
+    EXPECT_EQ(report.bad_section, "header");
+    EXPECT_NE(report.message.find("version " + std::to_string(version)),
+              std::string::npos)
+        << report.message;
+  }
 }
 
 TEST(Store, FingerprintMismatchRejected) {

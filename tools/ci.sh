@@ -32,9 +32,13 @@
 #      manifest; two identical ledgered runs must report "rank stability:
 #      identical" through sddd_cli report (text and JSON);
 #  10. store/serve crash-replay smoke: build a dictionary store twice
-#      (byte-identical), SIGKILL `sddd_cli serve` mid-batch, restart it on
-#      the same store, replay the batch, and require the socket responses
-#      byte-identical to the in-process dict-query render;
+#      (byte-identical), query it with the committed request
+#      tests/data/golden/s1196_query.req.json under both match modes and
+#      require the committed responses s1196_query_{e,s}.json byte for
+#      byte (run_id aside: it folds in the store format version), then
+#      SIGKILL `sddd_cli serve` mid-batch, restart it on the same store,
+#      replay the batch, and require the socket responses byte-identical
+#      to the in-process dict-query render;
 #  11. store corruption smoke: SDDD_FAULTS=store.crc@... poisons one of two
 #      stores at open; the server must quarantine it, report degraded
 #      health, keep answering from the healthy store, and drain with
@@ -305,6 +309,24 @@ CLI=./build/tools/sddd_cli
 "$CLI" dict build "$OBS_DIR/s1196.bench" "$OBS_DIR/s1196b.dict" --samples 60
 cmp "$OBS_DIR/s1196.dict" "$OBS_DIR/s1196b.dict"
 "$CLI" dict verify "$OBS_DIR/s1196.dict"
+
+# Cross-version golden gate: the served bytes must not move when the store
+# format or the scoring loop does.  The committed request, queried from
+# the fresh store, must answer with the committed responses; only run_id,
+# the store fingerprint (it folds in the format version), may differ.
+without_run_id() { # in_file out_file
+  sed -E 's/"run_id":"[0-9a-f]{16}"/"run_id":""/' "$1" > "$2"
+}
+for MATCH in e s; do
+  "$CLI" dict query "$OBS_DIR/s1196.dict" \
+    --request tests/data/golden/s1196_query.req.json --match "$MATCH" \
+    --out "$OBS_DIR/golden_query_$MATCH.json"
+  without_run_id "$OBS_DIR/golden_query_$MATCH.json" "$OBS_DIR/got_$MATCH.json"
+  without_run_id "tests/data/golden/s1196_query_$MATCH.json" \
+    "$OBS_DIR/want_$MATCH.json"
+  cmp "$OBS_DIR/got_$MATCH.json" "$OBS_DIR/want_$MATCH.json"
+done
+echo "golden query ok: match e and s byte-identical to the committed responses"
 
 # Draw a batch of failing chips and render the in-process reference
 # response -- the bytes every socket replay below must reproduce exactly.
