@@ -50,7 +50,8 @@ struct Case1 {
     x = nl.add_gate(CellType::kBuf, "X", {a});
     GateId prev = x;
     for (int i = 0; i < 6; ++i) {
-      prev = nl.add_gate(CellType::kBuf, "L" + std::to_string(i), {prev});
+      prev = nl.add_gate(CellType::kBuf,
+                         std::string("L").append(std::to_string(i)), {prev});
     }
     po_long = nl.add_gate(CellType::kAnd, "PO_long", {prev, s1});
     po_short = nl.add_gate(CellType::kAnd, "PO_short", {x, s2});

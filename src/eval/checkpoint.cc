@@ -85,15 +85,9 @@ std::string header_line(std::uint64_t fingerprint, std::size_t n_trials) {
 }
 
 void write_all_fd(int fd, std::string_view data, const std::string& path) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + off, data.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw IoError("checkpoint write failed for " + path + ": " +
-                    std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(w);
+  if (!obs::write_all(fd, data)) {
+    throw IoError("checkpoint write failed for " + path + ": " +
+                  std::strerror(errno));
   }
 }
 

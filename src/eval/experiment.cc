@@ -12,6 +12,7 @@
 #include "diagnosis/signature_matrix.h"
 #include "eval/checkpoint.h"
 #include "eval/explain.h"
+#include "eval/setup.h"
 #include "introspect/explain.h"
 #include "netlist/levelize.h"
 #include "obs/codec.h"
@@ -31,9 +32,6 @@
 
 namespace sddd::eval {
 
-using defect::DefectInjector;
-using defect::DefectSizeModel;
-using defect::InjectedChip;
 using defect::SegmentDefectModel;
 using diagnosis::BehaviorMatrix;
 using diagnosis::Diagnoser;
@@ -190,106 +188,74 @@ obs::Histogram& trial_ms_histogram() {
   return h;
 }
 
-/// Everything run_diagnosis_experiment builds before the trial loop: the
-/// timing/logic models, the two disjoint Monte-Carlo worlds (dictionary
-/// predictor vs manufactured chips), the calibrated clk with its
-/// detectability window, and the defect injection machinery.  Factored out
-/// so that explain_trial() can reconstruct the *identical* environment for
-/// one trial; every value here is a pure function of (netlist, config).
-struct ExperimentSetup {
-  const Netlist& nl;
-  const ExperimentConfig& config;
-  std::uint64_t t0 = obs::now_ns();
-  netlist::Levelization lev;
-  timing::StatisticalCellLibrary lib;
-  timing::ArcDelayModel model;
-  logicsim::BitSimulator logic_sim;
-  std::size_t instance_samples;
-  // Two disjoint Monte-Carlo worlds: the dictionary field is the CAD
-  // model's predictor; the instance field manufactures the actual chips.
-  timing::DelayField dict_field;
-  timing::DelayField inst_field;
-  timing::DynamicTimingSimulator dict_sim;
-  timing::DynamicTimingSimulator inst_sim;
-  double setup_seconds;
-  DefectSizeModel size_model;
-  stats::RandomVariable size_rv;
-  SegmentDefectModel location_model;
-  DefectInjector injector;
-  double clk = 0.0;
-  double calibration_seconds = 0.0;
-  // Detectability window for the injection gate (kDetectable).
-  double detect_lo = 0.0;
-  double detect_hi = 0.0;
-  // Suspect-column cache shared by every trial's diagnosis (empty and free
-  // until the first column).  Keyed by construction: its inputs are pure
-  // functions of (netlist, config), exactly what experiment_fingerprint()
-  // covers.
-  std::optional<diagnosis::SignatureCache> sig_cache;
+}  // namespace
 
-  ExperimentSetup(const Netlist& nl_in, const ExperimentConfig& cfg)
-      : nl(nl_in),
-        config(cfg),
-        lev(nl_in),
-        lib(cfg.library),
-        model(nl_in, lib),
-        logic_sim(nl_in, lev),
-        instance_samples(cfg.instance_samples != 0 ? cfg.instance_samples
-                                                   : cfg.mc_samples),
-        dict_field(model, cfg.mc_samples, cfg.global_weight,
-                   cfg.seed ^ 0xd1c7ULL),
-        inst_field(model, instance_samples, cfg.global_weight,
-                   cfg.seed ^ 0xc41bULL),
-        dict_sim(dict_field, lev),
-        inst_sim(inst_field, lev),
-        setup_seconds(seconds_since(t0)),
-        size_model(model.mean_cell_delay(), cfg.defect_mean_lo,
-                   cfg.defect_mean_hi, cfg.defect_three_sigma,
-                   cfg.seed ^ 0x5e1fULL),
-        size_rv(stats::RandomVariable::Normal(size_model.marginal_mean(),
-                                              size_model.marginal_mean() /
-                                                  6.0)),
-        location_model(SegmentDefectModel::uniform_single(nl_in, size_rv)),
-        injector(location_model, size_model) {
-    // clk calibration: per-site achievable delays (see header).
+ExperimentSetup::ExperimentSetup(const Netlist& nl_in,
+                                 const ExperimentConfig& cfg,
+                                 std::optional<double> known_clk)
+    : nl(nl_in),
+      config(cfg),
+      t0(obs::now_ns()),
+      lev(nl_in),
+      lib(cfg.library),
+      model(nl_in, lib),
+      logic_sim(nl_in, lev),
+      instance_samples(cfg.instance_samples != 0 ? cfg.instance_samples
+                                                 : cfg.mc_samples),
+      dict_field(model, cfg.mc_samples, cfg.global_weight,
+                 cfg.seed ^ 0xd1c7ULL),
+      inst_field(model, instance_samples, cfg.global_weight,
+                 cfg.seed ^ 0xc41bULL),
+      dict_sim(dict_field, lev),
+      inst_sim(inst_field, lev),
+      setup_seconds(seconds_since(t0)),
+      size_model(model.mean_cell_delay(), cfg.defect_mean_lo,
+                 cfg.defect_mean_hi, cfg.defect_three_sigma,
+                 cfg.seed ^ 0x5e1fULL),
+      location_model(SegmentDefectModel::uniform_single(
+          nl_in, stats::RandomVariable::Normal(
+                     size_model.marginal_mean(),
+                     size_model.marginal_mean() / 6.0))),
+      injector(location_model, size_model) {
+  if (known_clk.has_value()) {
+    clk = *known_clk;
+  } else {
+    // clk calibration: per-site achievable delays (see experiment.h).
     const std::uint64_t cal_t0 = obs::now_ns();
-    {
-      SDDD_SPAN(cal_span, "exp.calibration");
-      cal_span.arg("sites",
-                   static_cast<std::int64_t>(config.calibration_sites));
-      Rng cal_rng(config.seed, 0xca1bULL);
-      std::vector<double> site_delays;
-      for (std::size_t s = 0; s < config.calibration_sites; ++s) {
-        const auto site = static_cast<netlist::ArcId>(
-            cal_rng.below(static_cast<std::uint32_t>(nl.arc_count())));
-        const auto cal_patterns = [&] {
-          const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
-          return atpg::generate_diagnostic_patterns(
-              model, lev, site, config.pattern_config, cal_rng);
-        }();
-        const double d =
-            atpg::site_best_nominal_delay(model, lev, cal_patterns, site);
-        if (d > 0.0) site_delays.push_back(d);
-      }
-      if (site_delays.empty()) {
-        throw std::runtime_error(
-            "run_diagnosis_experiment: no calibration site was testable");
-      }
-      clk = stats::SampleVector(std::move(site_delays))
-                .quantile(config.clk_site_quantile);
+    SDDD_SPAN(cal_span, "exp.calibration");
+    cal_span.arg("sites", static_cast<std::int64_t>(config.calibration_sites));
+    Rng cal_rng(config.seed, 0xca1bULL);
+    std::vector<double> site_delays;
+    for (std::size_t s = 0; s < config.calibration_sites; ++s) {
+      const auto site = static_cast<netlist::ArcId>(
+          cal_rng.below(static_cast<std::uint32_t>(nl.arc_count())));
+      const auto cal_patterns = [&] {
+        const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
+        return atpg::generate_diagnostic_patterns(
+            model, lev, site, config.pattern_config, cal_rng);
+      }();
+      const double d =
+          atpg::site_best_nominal_delay(model, lev, cal_patterns, site);
+      if (d > 0.0) site_delays.push_back(d);
     }
+    if (site_delays.empty()) {
+      throw ModelError(nl.name() + ": no calibration site was testable");
+    }
+    clk = stats::SampleVector(std::move(site_delays))
+              .quantile(config.clk_site_quantile);
     calibration_seconds = seconds_since(cal_t0);
     SDDD_LOG_DEBUG("%s: clk calibrated to %.4f (%zu sites)",
                    nl.name().c_str(), clk, config.calibration_sites);
-    detect_lo = clk - config.detectable_lambda_lo * size_model.marginal_mean();
-    detect_hi = clk + config.detectable_lambda_hi * size_model.marginal_mean();
-    sig_cache.emplace(dict_sim, logic_sim, lev, size_model, clk,
-                      !config.match_on_signature);
   }
+  detect_lo = clk - config.detectable_lambda_lo * size_model.marginal_mean();
+  detect_hi = clk + config.detectable_lambda_hi * size_model.marginal_mean();
+}
 
-  ExperimentSetup(const ExperimentSetup&) = delete;
-  ExperimentSetup& operator=(const ExperimentSetup&) = delete;
-};
+Rng ExperimentSetup::trial_rng(std::size_t trial) const {
+  return Rng(config.seed, 0xe4a1ULL).split(trial + 1);
+}
+
+namespace {
 
 /// What the explanation engine needs from a trial beyond its TrialRecord:
 /// the pattern set, the observed behavior and the full diagnosis result
@@ -305,15 +271,15 @@ struct TrialArtifacts {
 /// trial - in the experiment loop, on resume, or from explain_trial() -
 /// reproduces the identical record bit for bit.  Failures propagate;
 /// classification into TrialStatus is the caller's job.
-void run_trial_body(const ExperimentSetup& S, const ExperimentConfig& config,
-                    const Diagnoser& diagnoser,
+void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
                     const diagnosis::LogicBaselineDiagnoser* logic_baseline,
                     std::size_t trial, TrialRecord& record,
                     TrialArtifacts* artifacts) {
   SDDD_SPAN(trial_span, "exp.trial");
   trial_span.arg("trial", static_cast<std::int64_t>(trial));
   const Netlist& nl = S.nl;
-  Rng trial_rng = Rng(config.seed, 0xe4a1ULL).split(trial + 1);
+  const ExperimentConfig& config = S.config;
+  Rng trial_rng = S.trial_rng(trial);
 
   // Redraw (site, size, chip) until the chip observably fails.
   std::vector<logicsim::PatternPair> patterns;
@@ -425,10 +391,6 @@ void run_trial_body(const ExperimentSetup& S, const ExperimentConfig& config,
 
 ExperimentResult run_diagnosis_experiment(const Netlist& nl,
                                           const ExperimentConfig& config) {
-  if (nl.dff_count() != 0) {
-    throw std::invalid_argument(
-        "run_diagnosis_experiment: run full_scan_transform first");
-  }
   SDDD_SPAN(exp_span, "exp.run");
   exp_span.arg("circuit", std::string_view(nl.name()))
       .arg("chips", static_cast<std::int64_t>(config.n_chips))
@@ -437,11 +399,18 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       obs::MetricsRegistry::instance().snapshot();
   const auto wall_start = std::chrono::steady_clock::now();
   const ExperimentSetup S(nl, config);
+  // Suspect-column cache shared by every trial's diagnosis (empty and free
+  // until the first column).  Keyed by construction: its inputs are pure
+  // functions of (netlist, config), exactly what experiment_fingerprint()
+  // covers.
+  const diagnosis::SignatureCache sig_cache(S.dict_sim, S.logic_sim, S.lev,
+                                            S.size_model, S.clk,
+                                            !config.match_on_signature);
 
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
   const diagnosis::LogicBaselineDiagnoser logic_baseline(S.logic_sim, S.lev);
@@ -536,10 +505,21 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       record = TrialRecord{};
       record.rank_of_true.assign(config.methods.size(), -1);
     };
+    const auto quarantine = [&](ErrorCode code, const char* what) {
+      reset_record();
+      record.status = TrialStatus::kQuarantined;
+      record.error_code = code;
+      record.error_message = what;
+      trial_quarantined_counter().add(1);
+      const std::string name(error_code_name(code));
+      obs::Recorder::instance().record(obs::EventKind::kTrialError, name, trial);
+      SDDD_LOG_WARN("%s: trial %zu quarantined [%s]: %s", nl.name().c_str(),
+                    trial, name.c_str(), what);
+      obs::dump_postmortem("trial_quarantined");
+    };
     try {
       obs::fault_point("exp.trial", trial);
-      run_trial_body(S, config, diagnoser, &logic_baseline, trial, record,
-                     nullptr);
+      run_trial_body(S, diagnoser, &logic_baseline, trial, record, nullptr);
       record.status = record.failed_test ? TrialStatus::kDiagnosed
                                          : TrialStatus::kNotFailing;
     } catch (const CancelledError&) {
@@ -551,29 +531,9 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       obs::Recorder::instance().record(obs::EventKind::kDeadline, "", trial);
       deadline_fired.store(true, std::memory_order_relaxed);
     } catch (const Error& e) {
-      reset_record();
-      record.status = TrialStatus::kQuarantined;
-      record.error_code = e.code();
-      record.error_message = e.what();
-      trial_quarantined_counter().add(1);
-      obs::Recorder::instance().record(obs::EventKind::kTrialError,
-                                       error_code_name(e.code()), trial);
-      SDDD_LOG_WARN("%s: trial %zu quarantined [%s]: %s", nl.name().c_str(),
-                    trial,
-                    std::string(error_code_name(e.code())).c_str(),
-                    e.what());
-      obs::dump_postmortem("trial_quarantined");
+      quarantine(e.code(), e.what());
     } catch (const std::exception& e) {
-      reset_record();
-      record.status = TrialStatus::kQuarantined;
-      record.error_code = ErrorCode::kInternal;
-      record.error_message = e.what();
-      trial_quarantined_counter().add(1);
-      obs::Recorder::instance().record(obs::EventKind::kTrialError, "internal",
-                                       trial);
-      SDDD_LOG_WARN("%s: trial %zu quarantined [internal]: %s",
-                    nl.name().c_str(), trial, e.what());
-      obs::dump_postmortem("trial_quarantined");
+      quarantine(ErrorCode::kInternal, e.what());
     }
     trial_ms_histogram().record(
         static_cast<double>(obs::now_ns() - trial_t0) * 1e-6);
@@ -656,36 +616,32 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
 introspect::ExplanationReport explain_trial(const Netlist& nl,
                                             const ExperimentConfig& config,
                                             const ExplainRequest& request) {
-  if (nl.dff_count() != 0) {
-    throw std::invalid_argument("explain_trial: run full_scan_transform first");
-  }
   SDDD_SPAN(span, "exp.explain_trial");
   span.arg("circuit", std::string_view(nl.name()));
   const ExperimentSetup S(nl, config);
+  const diagnosis::SignatureCache sig_cache(S.dict_sim, S.logic_sim, S.lev,
+                                            S.size_model, S.clk,
+                                            !config.match_on_signature);
 
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
   diag_config.capture_phi = true;
-  diag_config.cache = &*S.sig_cache;
+  diag_config.cache = &sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
 
-  std::vector<std::size_t> trials_to_try;
-  if (request.trial.has_value()) {
-    if (*request.trial >= config.n_chips) {
-      throw std::invalid_argument("explain_trial: trial index out of range");
-    }
-    trials_to_try.push_back(*request.trial);
-  } else {
-    for (std::size_t t = 0; t < config.n_chips; ++t) trials_to_try.push_back(t);
+  if (request.trial.has_value() && *request.trial >= config.n_chips) {
+    throw std::invalid_argument("explain_trial: trial index out of range");
   }
-
-  for (const std::size_t trial : trials_to_try) {
+  const std::size_t first = request.trial.value_or(0);
+  const std::size_t last = request.trial.has_value() ? first + 1
+                                                     : config.n_chips;
+  for (std::size_t trial = first; trial < last; ++trial) {
     TrialRecord record;
     record.rank_of_true.assign(config.methods.size(), -1);
     TrialArtifacts artifacts;
-    run_trial_body(S, config, diagnoser, nullptr, trial, record, &artifacts);
+    run_trial_body(S, diagnoser, nullptr, trial, record, &artifacts);
     if (!record.failed_test) continue;
 
     introspect::ExplainConfig explain_config;

@@ -44,7 +44,9 @@ obs::Counter& cells_counter() {
 bool score_increases_with_phi(Method m) { return m != Method::kRev; }
 
 std::string interval_json(const Interval& iv) {
-  return "[" + json_double(iv.lo) + ", " + json_double(iv.hi) + "]";
+  std::string out = "[";
+  out.append(json_double(iv.lo)).append(", ").append(json_double(iv.hi));
+  return out.append("]");
 }
 
 /// Everything accumulated for one evaluated arc.  Detailed candidates keep

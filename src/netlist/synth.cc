@@ -227,13 +227,15 @@ Netlist synthesize(const SynthSpec& spec) {
   Netlist nl(spec.name);
   std::vector<GateId> ids(nodes.size(), kInvalidGate);
   for (std::uint32_t i = 0; i < n_pi; ++i) {
-    ids[i] = nl.add_input("I" + std::to_string(i));
+    ids[i] = nl.add_input(std::string("I").append(std::to_string(i)));
   }
   for (std::uint32_t id = n_pi; id < nodes.size(); ++id) {
     std::vector<GateId> fanins;
     fanins.reserve(nodes[id].fanins.size());
     for (const std::uint32_t f : nodes[id].fanins) fanins.push_back(ids[f]);
-    ids[id] = nl.add_gate(nodes[id].type, "N" + std::to_string(id), std::move(fanins));
+    ids[id] = nl.add_gate(nodes[id].type,
+                          std::string("N").append(std::to_string(id)),
+                          std::move(fanins));
   }
   for (const std::uint32_t o : outputs) nl.add_output(ids[o]);
   nl.freeze();

@@ -21,19 +21,6 @@ namespace {
 /// given program flow.
 std::atomic<std::uint64_t> g_write_ordinal{0};
 
-bool write_all(int fd, std::string_view content) {
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 bool atomic_write_impl(const std::string& path, std::string_view content,
                        std::string* error) {
   const std::uint64_t ordinal =
@@ -67,6 +54,19 @@ bool atomic_write_impl(const std::string& path, std::string_view content,
 }
 
 }  // namespace
+
+bool write_all(int fd, std::string_view content) {
+  std::size_t off = 0;
+  while (off < content.size()) {
+    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 bool atomic_write_file(const std::string& path, std::string_view content) {
   std::string error;

@@ -18,6 +18,10 @@
 
 namespace sddd::obs {
 
+/// Writes all of `content` to `fd`, retrying short and EINTR-interrupted
+/// write(2)s.  Returns false with errno set on the first real failure.
+bool write_all(int fd, std::string_view content);
+
 /// Atomically replaces `path` with `content`.  Returns false (and cleans
 /// up the temp file) on any failure - open, short write, fsync, rename.
 /// Never leaves a partial `path`.

@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cerrno>
 #include <cmath>
@@ -15,7 +13,10 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/atomic_file.h"
 #include "obs/codec.h"
+#include "obs/error.h"
+#include "obs/json.h"
 #include "obs/log.h"
 
 namespace sddd::obs {
@@ -28,177 +29,31 @@ std::string format_double(double v) {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON cursor: just enough to read the flat-ish records the ledger
-// writes (strings, numbers, one level of nested {string: number} maps).
-// Unknown keys are skipped so old readers tolerate newer records.
-
-struct Cursor {
-  std::string_view s;
-  std::size_t i = 0;
-
-  bool done() const { return i >= s.size(); }
-  char peek() const { return done() ? '\0' : s[i]; }
-  void skip_ws() {
-    while (!done() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (peek() != c) return false;
-    ++i;
-    return true;
-  }
-};
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!c->expect('"')) return false;
-  out->clear();
-  while (!c->done()) {
-    const char ch = c->s[c->i++];
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c->done()) return false;
-      const char esc = c->s[c->i++];
-      switch (esc) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case '/':
-          out->push_back('/');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'r':
-          out->push_back('\r');
-          break;
-        case 'u': {
-          if (c->i + 4 > c->s.size()) return false;
-          char hex[5] = {c->s[c->i], c->s[c->i + 1], c->s[c->i + 2],
-                         c->s[c->i + 3], '\0'};
-          c->i += 4;
-          out->push_back(static_cast<char>(
-              std::strtoul(hex, nullptr, 16) & 0xFFu));
-          break;
-        }
-        default:
-          return false;
-      }
-    } else {
-      out->push_back(ch);
-    }
-  }
-  return false;  // unterminated
+// One typed ledger field from its decoded JSON value; false when the value
+// has the wrong kind.
+bool read_value(const JsonValue& v, std::string* dst) {
+  *dst = v.string;
+  return v.is_string();
 }
 
-/// Parses a JSON number; reports both renderings so callers can keep full
-/// 64-bit precision for integer counters.
-bool parse_number(Cursor* c, double* as_double, std::uint64_t* as_u64) {
-  c->skip_ws();
-  const std::size_t start = c->i;
-  bool integral = true;
-  if (c->peek() == '-') ++c->i;
-  while (!c->done()) {
-    const char ch = c->peek();
-    if (std::isdigit(static_cast<unsigned char>(ch)) != 0) {
-      ++c->i;
-    } else if (ch == '.' || ch == 'e' || ch == 'E' || ch == '+' || ch == '-') {
-      integral = false;
-      ++c->i;
-    } else {
-      break;
-    }
-  }
-  if (c->i == start) return false;
-  const std::string text(c->s.substr(start, c->i - start));
-  *as_double = std::strtod(text.c_str(), nullptr);
-  *as_u64 = integral ? std::strtoull(text.c_str(), nullptr, 10)
-                     : static_cast<std::uint64_t>(std::llround(*as_double));
-  return true;
+bool read_value(const JsonValue& v, double* dst) {
+  *dst = v.number;
+  return v.is_number();
 }
 
-/// Skips any JSON value (used for unknown keys).
-bool skip_value(Cursor* c) {
-  c->skip_ws();
-  const char ch = c->peek();
-  if (ch == '"') {
-    std::string dummy;
-    return parse_string(c, &dummy);
-  }
-  if (ch == '{' || ch == '[') {
-    const char close = ch == '{' ? '}' : ']';
-    ++c->i;
-    int depth = 1;
-    bool in_string = false;
-    while (!c->done() && depth > 0) {
-      const char k = c->s[c->i++];
-      if (in_string) {
-        if (k == '\\') {
-          if (!c->done()) ++c->i;
-        } else if (k == '"') {
-          in_string = false;
-        }
-      } else if (k == '"') {
-        in_string = true;
-      } else if (k == ch) {
-        ++depth;
-      } else if (k == close) {
-        --depth;
-      }
-    }
-    return depth == 0;
-  }
-  if (ch == 't') {
-    if (c->s.substr(c->i, 4) != "true") return false;
-    c->i += 4;
-    return true;
-  }
-  if (ch == 'f') {
-    if (c->s.substr(c->i, 5) != "false") return false;
-    c->i += 5;
-    return true;
-  }
-  if (ch == 'n') {
-    if (c->s.substr(c->i, 4) != "null") return false;
-    c->i += 4;
-    return true;
-  }
-  double d = 0.0;
-  std::uint64_t u = 0;
-  return parse_number(c, &d, &u);
+bool read_value(const JsonValue& v, std::uint64_t* dst) {
+  // Integral tokens keep their exact 64-bit value (seeds, counters).
+  *dst = v.integer ? *v.integer
+                   : static_cast<std::uint64_t>(std::llround(v.number));
+  return v.is_number();
 }
 
-/// Parses `{ "key": number, ... }` into either map (one may be null).
-bool parse_number_map(Cursor* c, std::map<std::string, double>* doubles,
-                      std::map<std::string, std::uint64_t>* u64s) {
-  if (!c->expect('{')) return false;
-  c->skip_ws();
-  if (c->peek() == '}') {
-    ++c->i;
-    return true;
+template <typename T>
+bool read_value(const JsonValue& v, std::map<std::string, T>* dst) {
+  for (const auto& [name, item] : v.object) {
+    if (!read_value(item, &(*dst)[name])) return false;
   }
-  while (true) {
-    std::string key;
-    if (!parse_string(c, &key)) return false;
-    if (!c->expect(':')) return false;
-    double d = 0.0;
-    std::uint64_t u = 0;
-    if (!parse_number(c, &d, &u)) return false;
-    if (doubles != nullptr) (*doubles)[key] = d;
-    if (u64s != nullptr) (*u64s)[key] = u;
-    c->skip_ws();
-    if (c->peek() == ',') {
-      ++c->i;
-      continue;
-    }
-    return c->expect('}');
-  }
+  return v.is_object();
 }
 
 constexpr std::string_view kCrcPrefix = "{\"crc\":\"";
@@ -272,65 +127,42 @@ bool decode_ledger_record(std::string_view line, LedgerRecord* out) {
   const std::string_view payload = line.substr(payload_at);
   if (hex64(fnv1a64(payload)) != crc_hex) return false;
 
-  // Parse the payload as an (opening-brace-less) JSON object body.
-  LedgerRecord rec;
-  Cursor c{payload, 0};
-  while (true) {
-    std::string key;
-    if (!parse_string(&c, &key)) return false;
-    if (!c.expect(':')) return false;
-    bool ok = true;
-    double d = 0.0;
-    std::uint64_t u = 0;
-    if (key == "v") {
-      ok = parse_number(&c, &d, &u);
-      rec.version = static_cast<int>(u);
-    } else if (key == "run_id") {
-      ok = parse_string(&c, &rec.run_id);
-    } else if (key == "tool") {
-      ok = parse_string(&c, &rec.tool);
-    } else if (key == "circuit") {
-      ok = parse_string(&c, &rec.circuit);
-    } else if (key == "git_sha") {
-      ok = parse_string(&c, &rec.git_sha);
-    } else if (key == "seed") {
-      ok = parse_number(&c, &d, &rec.seed);
-    } else if (key == "threads") {
-      ok = parse_number(&c, &d, &rec.threads);
-    } else if (key == "mc_samples") {
-      ok = parse_number(&c, &d, &rec.mc_samples);
-    } else if (key == "n_chips") {
-      ok = parse_number(&c, &d, &rec.n_chips);
-    } else if (key == "wall_seconds") {
-      ok = parse_number(&c, &rec.wall_seconds, &u);
-    } else if (key == "phases") {
-      ok = parse_number_map(&c, &rec.phases, nullptr);
-    } else if (key == "counters") {
-      ok = parse_number_map(&c, nullptr, &rec.counters);
-    } else if (key == "peak_rss_kb") {
-      ok = parse_number(&c, &d, &rec.peak_rss_kb);
-    } else if (key == "manifest_fnv") {
-      ok = parse_string(&c, &rec.manifest_fnv);
-    } else if (key == "result_fnv") {
-      ok = parse_string(&c, &rec.result_fnv);
-    } else if (key == "result_path") {
-      ok = parse_string(&c, &rec.result_path);
-    } else if (key == "unix_ms") {
-      ok = parse_number(&c, &d, &rec.unix_ms);
-    } else {
-      // Forward compatibility, and the "bench"/"clients"/"batch" keys
-      // that serve-bench lines written before their removal carry.
-      ok = skip_value(&c);
-    }
-    if (!ok) return false;
-    c.skip_ws();
-    if (c.peek() == ',') {
-      ++c.i;
-      continue;
-    }
-    if (!c.expect('}')) return false;
-    break;
+  // The payload is a JSON object body without its opening brace.
+  JsonValue doc;
+  try {
+    doc = parse_json(std::string("{").append(payload));
+  } catch (const ParseError&) {
+    return false;
   }
+  // Typed field reads.  Unknown keys (forward compatibility, and the
+  // "bench"/"clients"/"batch" keys that serve-bench lines written before
+  // their removal carry) are ignored; a field of the wrong type rejects
+  // the line.
+  LedgerRecord rec;
+  auto version = static_cast<std::uint64_t>(rec.version);
+  bool ok = true;
+  const auto read = [&doc, &ok](const char* key, auto* dst) {
+    if (const JsonValue* v = doc.get(key)) ok = ok && read_value(*v, dst);
+  };
+  read("v", &version);
+  read("run_id", &rec.run_id);
+  read("tool", &rec.tool);
+  read("circuit", &rec.circuit);
+  read("git_sha", &rec.git_sha);
+  read("seed", &rec.seed);
+  read("threads", &rec.threads);
+  read("mc_samples", &rec.mc_samples);
+  read("n_chips", &rec.n_chips);
+  read("wall_seconds", &rec.wall_seconds);
+  read("phases", &rec.phases);
+  read("counters", &rec.counters);
+  read("peak_rss_kb", &rec.peak_rss_kb);
+  read("manifest_fnv", &rec.manifest_fnv);
+  read("result_fnv", &rec.result_fnv);
+  read("result_path", &rec.result_path);
+  read("unix_ms", &rec.unix_ms);
+  if (!ok) return false;
+  rec.version = static_cast<int>(version);
   *out = std::move(rec);
   return true;
 }
@@ -344,20 +176,11 @@ bool append_ledger_record(const std::string& path, const LedgerRecord& rec) {
                    std::strerror(errno));
     return false;
   }
-  bool ok = true;
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SDDD_LOG_ERROR("ledger: write to %s failed: %s", path.c_str(),
-                     std::strerror(errno));
-      ok = false;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (ok && ::fsync(fd) != 0) {
+  const bool ok = write_all(fd, line);
+  if (!ok) {
+    SDDD_LOG_ERROR("ledger: write to %s failed: %s", path.c_str(),
+                   std::strerror(errno));
+  } else if (::fsync(fd) != 0) {
     SDDD_LOG_WARN("ledger: fsync %s failed: %s", path.c_str(),
                   std::strerror(errno));
   }
@@ -421,6 +244,26 @@ std::uint64_t read_peak_rss_kb() {
 // ---------------------------------------------------------------------------
 // Diff
 
+namespace {
+
+/// One row per name in `a` or `b`, sorted by name, holding both sides'
+/// values (0 for the side that lacks the name).
+template <typename Row, typename T>
+std::vector<Row> union_rows(const std::map<std::string, T>& a,
+                            const std::map<std::string, T>& b) {
+  std::map<std::string, Row> rows;
+  for (const auto& [name, v] : a) rows[name].a = v;
+  for (const auto& [name, v] : b) rows[name].b = v;
+  std::vector<Row> out;
+  for (auto& [name, row] : rows) {
+    row.name = name;
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+}  // namespace
+
 LedgerDiff diff_ledger_records(const LedgerRecord& a, const LedgerRecord& b) {
   LedgerDiff d;
   d.run_a = a.run_id;
@@ -438,35 +281,8 @@ LedgerDiff diff_ledger_records(const LedgerRecord& a, const LedgerRecord& b) {
   d.rss_a = a.peak_rss_kb;
   d.rss_b = b.peak_rss_kb;
 
-  for (const auto& [name, seconds] : a.phases) {
-    d.phases.push_back({name, seconds, 0.0});
-  }
-  for (const auto& [name, seconds] : b.phases) {
-    auto it = std::find_if(d.phases.begin(), d.phases.end(),
-                           [&](const auto& row) { return row.name == name; });
-    if (it == d.phases.end()) {
-      d.phases.push_back({name, 0.0, seconds});
-    } else {
-      it->b = seconds;
-    }
-  }
-  std::sort(d.phases.begin(), d.phases.end(),
-            [](const auto& x, const auto& y) { return x.name < y.name; });
-
-  for (const auto& [name, value] : a.counters) {
-    d.counters.push_back({name, value, 0});
-  }
-  for (const auto& [name, value] : b.counters) {
-    auto it = std::find_if(d.counters.begin(), d.counters.end(),
-                           [&](const auto& row) { return row.name == name; });
-    if (it == d.counters.end()) {
-      d.counters.push_back({name, 0, value});
-    } else {
-      it->b = value;
-    }
-  }
-  std::sort(d.counters.begin(), d.counters.end(),
-            [](const auto& x, const auto& y) { return x.name < y.name; });
+  d.phases = union_rows<LedgerDiff::PhaseRow>(a.phases, b.phases);
+  d.counters = union_rows<LedgerDiff::CounterRow>(a.counters, b.counters);
 
   if (a.result_fnv.empty() || b.result_fnv.empty()) {
     d.rank_stability = "unknown";

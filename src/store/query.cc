@@ -108,6 +108,53 @@ diagnosis::BehaviorMatrix behavior_from_rows(
   return B;
 }
 
+bool parse_batch_query(const obs::JsonValue& req, const DictionaryStore& store,
+                       std::size_t default_top_k, BatchQuery* out,
+                       std::string* error) {
+  const std::string match = req.get_string("match", "e");
+  if (match != "e" && match != "s") {
+    *error = "match must be \"e\" or \"s\"";
+    return false;
+  }
+  out->match_e = match == "e";
+  out->top_k = static_cast<std::size_t>(std::max(
+      0.0, req.get_number("top", static_cast<double>(default_top_k))));
+  const obs::JsonValue* chips = req.get("chips");
+  if (chips == nullptr || !chips->is_array()) {
+    *error = "missing \"chips\" array";
+    return false;
+  }
+  out->chips.clear();
+  out->chips.reserve(chips->array.size());
+  for (std::size_t c = 0; c < chips->array.size(); ++c) {
+    const obs::JsonValue& chip = chips->array[c];
+    ChipQuery q;
+    q.id = chip.get_string("id", std::to_string(c));
+    const obs::JsonValue* rows_json = chip.get("b");
+    if (rows_json == nullptr || !rows_json->is_array()) {
+      *error = "chip " + q.id + ": missing \"b\" rows";
+      return false;
+    }
+    std::vector<std::string> rows;
+    rows.reserve(rows_json->array.size());
+    for (const obs::JsonValue& row : rows_json->array) {
+      if (!row.is_string()) {
+        *error = "chip " + q.id + ": \"b\" rows must be strings";
+        return false;
+      }
+      rows.push_back(row.string);
+    }
+    try {
+      q.B = behavior_from_rows(rows, store.n_outputs(), store.n_patterns());
+    } catch (const ParseError& e) {
+      *error = e.what();
+      return false;
+    }
+    out->chips.push_back(std::move(q));
+  }
+  return true;
+}
+
 std::string diagnose_batch_json(const StoreQueryEngine& engine,
                                 std::span<const ChipQuery> chips,
                                 bool match_on_total_probability,

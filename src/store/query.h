@@ -26,6 +26,7 @@
 
 #include "diagnosis/behavior.h"
 #include "diagnosis/diagnoser.h"
+#include "obs/json.h"
 #include "store/store.h"
 
 namespace sddd::store {
@@ -68,6 +69,21 @@ struct ChipQuery {
 diagnosis::BehaviorMatrix behavior_from_rows(
     const std::vector<std::string>& rows, std::size_t n_outputs,
     std::size_t n_patterns);
+
+/// A decoded diagnose request (parse_batch_query).
+struct BatchQuery {
+  bool match_e = true;           ///< "match": "e" (default) or "s"
+  std::size_t top_k = 0;         ///< "top", clamped at 0 (= all suspects)
+  std::vector<ChipQuery> chips;  ///< "chips": [{"id":..., "b":[rows]}]
+};
+
+/// Decodes `req`'s "match", "top" and "chips" against `store`'s
+/// dimensions; a missing "top" is `default_top_k` and a chip without an
+/// "id" is named by its index.  On a malformed request returns false and
+/// sets `*error` to the message of the server's bad_request response.
+bool parse_batch_query(const obs::JsonValue& req, const DictionaryStore& store,
+                       std::size_t default_top_k, BatchQuery* out,
+                       std::string* error);
 
 /// Diagnoses every chip and renders the canonical response JSON (single
 /// line, no trailing newline):

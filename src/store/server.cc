@@ -355,13 +355,18 @@ std::string DiagnosisServer::handle_diagnose(const JsonValue& req,
   rt->circuit = loaded->state.circuit;
   windows_.counter("store." + loaded->state.circuit).add(1);
 
-  const std::string match = req.get_string("match", "e");
-  if (match != "e" && match != "s") {
+  const std::uint64_t t_query = obs::now_ns();
+  BatchQuery query;
+  std::string bad_request;
+  const bool parsed = parse_batch_query(req, *loaded->store,
+                                        config_.default_top_k, &query,
+                                        &bad_request);
+  rt->parse_us += elapsed_us(t_query);
+  if (!parsed) {
     rt->outcome = "bad_request";
-    return error_json("bad_request", "match must be \"e\" or \"s\"");
+    return error_json("bad_request", bad_request);
   }
-  const auto top_k = static_cast<std::size_t>(std::max(
-      0.0, req.get_number("top", static_cast<double>(config_.default_top_k))));
+  rt->batch = query.chips.size();
   const double deadline_ms = req.get_number(
       "deadline_ms", static_cast<double>(config_.default_deadline_ms));
 
@@ -390,41 +395,6 @@ std::string DiagnosisServer::handle_diagnose(const JsonValue& req,
     token.poll();
     rt->queue_us = elapsed_us(t_queue);
 
-    const JsonValue* chips_json = req.get("chips");
-    if (chips_json == nullptr || !chips_json->is_array()) {
-      rt->outcome = "bad_request";
-      return error_json("bad_request", "missing \"chips\" array");
-    }
-    const std::uint64_t t_chips = obs::now_ns();
-    const DictionaryStore& st = *loaded->store;
-    std::vector<ChipQuery> chips;
-    chips.reserve(chips_json->array.size());
-    for (std::size_t c = 0; c < chips_json->array.size(); ++c) {
-      const JsonValue& chip = chips_json->array[c];
-      ChipQuery q;
-      q.id = chip.get_string("id", std::to_string(c));
-      const JsonValue* rows_json = chip.get("b");
-      if (rows_json == nullptr || !rows_json->is_array()) {
-        rt->outcome = "bad_request";
-        return error_json("bad_request",
-                          "chip " + q.id + ": missing \"b\" rows");
-      }
-      std::vector<std::string> rows;
-      rows.reserve(rows_json->array.size());
-      for (const JsonValue& row : rows_json->array) {
-        if (!row.is_string()) {
-          rt->outcome = "bad_request";
-          return error_json("bad_request",
-                            "chip " + q.id + ": \"b\" rows must be strings");
-        }
-        rows.push_back(row.string);
-      }
-      q.B = behavior_from_rows(rows, st.n_outputs(), st.n_patterns());
-      chips.push_back(std::move(q));
-    }
-    rt->parse_us += elapsed_us(t_chips);
-    rt->batch = chips.size();
-
     if (obs::fault_at("serve.store", request_k)) {
       throw StoreError("serve",
                        "injected serve.store fault at request " +
@@ -433,7 +403,8 @@ std::string DiagnosisServer::handle_diagnose(const JsonValue& req,
 
     const std::uint64_t t_score = obs::now_ns();
     const std::string response =
-        diagnose_batch_json(*loaded->engine, chips, match == "e", top_k);
+        diagnose_batch_json(*loaded->engine, query.chips, query.match_e,
+                            query.top_k);
     rt->score_us = elapsed_us(t_score);
     serve_served_counter().add(1);
     windows_.counter("serve.served").add(1);
@@ -452,9 +423,6 @@ std::string DiagnosisServer::handle_diagnose(const JsonValue& req,
   } catch (const CancelledError& e) {
     rt->outcome = "shutting_down";
     return error_json("shutting_down", e.what());
-  } catch (const ParseError& e) {
-    rt->outcome = "bad_request";
-    return error_json("bad_request", e.what());
   } catch (const StoreError& e) {
     // A store that turns bad mid-flight (should be impossible after the
     // open-time sweep, but classified anyway): quarantine it.  The

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "obs/expo.h"
+#include "obs/json.h"
 #include "obs/window.h"
 #include "store/query.h"
 #include "store/store.h"
@@ -149,7 +150,7 @@ class DiagnosisServer {
   /// Routes + executes one request, returns the response payload (the
   /// caller wraps it in the trace envelope).
   std::string handle_request(const std::string& frame, RequestTrace* rt);
-  std::string handle_diagnose(const class JsonValue& req, RequestTrace* rt);
+  std::string handle_diagnose(const obs::JsonValue& req, RequestTrace* rt);
   std::string health_json() const;
   LoadedStore* route_store(const std::string& selector, std::string* error);
   /// Lands one finished diagnose in the window histograms, the cumulative

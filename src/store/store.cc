@@ -18,8 +18,7 @@
 #include "atpg/diag_patterns.h"
 #include "diagnosis/dictionary.h"
 #include "eval/checkpoint.h"
-#include "eval/experiment.h"
-#include "netlist/levelize.h"
+#include "eval/setup.h"
 #include "obs/atomic_file.h"
 #include "obs/error.h"
 #include "obs/faults.h"
@@ -30,11 +29,6 @@
 #include "runtime/cancel.h"
 #include "runtime/parallel_for.h"
 #include "stats/rng.h"
-#include "stats/rv.h"
-#include "stats/sample_vector.h"
-#include "timing/delay_field.h"
-#include "timing/delay_model.h"
-#include "timing/dynamic_sim.h"
 
 namespace sddd::store {
 
@@ -147,113 +141,71 @@ std::uint64_t checked_product(std::initializer_list<std::uint64_t> factors,
   return product;
 }
 
-/// The model/simulator stack a store build runs on.  Construction mirrors
-/// eval::ExperimentSetup's derivations exactly where they overlap (seed
-/// xors, calibration stream, size model), so a store built at the
-/// experiment's defaults predicts the same probabilities the experiment's
-/// dictionary would.
-struct BuildStack {
-  netlist::Levelization lev;
-  timing::StatisticalCellLibrary lib;
-  timing::ArcDelayModel model;
-  logicsim::BitSimulator logic_sim;
-  timing::DelayField dict_field;
-  timing::DynamicTimingSimulator dict_sim;
-  defect::DefectSizeModel size_model;
-  double clk = 0.0;
+/// The ExperimentConfig a store's world is built at: the knobs the store
+/// shares with the experiment harness, at 0 chips.  The build's
+/// eval::ExperimentSetup and the fingerprint both read it.
+eval::ExperimentConfig world_config(const StoreBuildConfig& config) {
+  eval::ExperimentConfig world;
+  world.mc_samples = config.mc_samples;
+  world.n_chips = 0;
+  world.calibration_sites = config.calibration_sites;
+  world.clk_site_quantile = config.clk_site_quantile;
+  world.global_weight = config.global_weight;
+  world.defect_mean_lo = config.defect_mean_lo;
+  world.defect_mean_hi = config.defect_mean_hi;
+  world.defect_three_sigma = config.defect_three_sigma;
+  world.max_suspects = config.max_suspects;
+  world.library = config.library;
+  world.seed = config.seed;
+  return world;
+}
+
+/// The store's pattern set: the deduped union of the diagnostic pattern
+/// sets of pattern_sites randomly drawn fault sites, capped at
+/// max_patterns.  A dedicated stream keeps the set independent of the
+/// calibration.
+std::vector<logicsim::PatternPair> sweep_patterns(
+    const eval::ExperimentSetup& world, const StoreBuildConfig& config) {
   std::vector<logicsim::PatternPair> patterns;
-
-  BuildStack(const netlist::Netlist& nl, const StoreBuildConfig& config)
-      : lev(nl),
-        lib(config.library),
-        model(nl, lib),
-        logic_sim(nl, lev),
-        dict_field(model, config.mc_samples, config.global_weight,
-                   config.seed ^ 0xd1c7ULL),
-        dict_sim(dict_field, lev),
-        size_model(model.mean_cell_delay(), config.defect_mean_lo,
-                   config.defect_mean_hi, config.defect_three_sigma,
-                   config.seed ^ 0x5e1fULL) {
-    const atpg::DiagnosticPatternConfig pattern_config;
-    if (config.clk_override > 0.0) {
-      clk = config.clk_override;
-    } else {
-      // clk calibration: the experiment's per-site achievable-delay sweep.
-      Rng cal_rng(config.seed, 0xca1bULL);
-      std::vector<double> site_delays;
-      for (std::size_t s = 0; s < config.calibration_sites; ++s) {
-        const auto site = static_cast<ArcId>(
-            cal_rng.below(static_cast<std::uint32_t>(nl.arc_count())));
-        const auto cal_patterns = atpg::generate_diagnostic_patterns(
-            model, lev, site, pattern_config, cal_rng);
-        const double d =
-            atpg::site_best_nominal_delay(model, lev, cal_patterns, site);
-        if (d > 0.0) site_delays.push_back(d);
-      }
-      if (site_delays.empty()) {
-        throw ModelError("dict build: no calibration site was testable");
-      }
-      clk = stats::SampleVector(std::move(site_delays))
-                .quantile(config.clk_site_quantile);
-    }
-
-    // Pattern set: deduped union of diagnostic pattern sets for
-    // pattern_sites randomly drawn fault sites, capped at max_patterns.
-    // A dedicated stream keeps the set independent of the calibration.
-    Rng pat_rng(config.seed, 0x9a77ULL);
-    std::set<std::string> seen;
-    for (std::size_t s = 0;
-         s < config.pattern_sites && patterns.size() < config.max_patterns;
-         ++s) {
-      const auto site = static_cast<ArcId>(
-          pat_rng.below(static_cast<std::uint32_t>(nl.arc_count())));
-      for (auto& p : atpg::generate_diagnostic_patterns(model, lev, site,
-                                                        pattern_config,
-                                                        pat_rng)) {
-        std::string key;
-        key.reserve(p.v1.size() * 2);
-        for (const bool b : p.v1) key.push_back(b ? '1' : '0');
-        for (const bool b : p.v2) key.push_back(b ? '1' : '0');
-        if (!seen.insert(std::move(key)).second) continue;
-        patterns.push_back(std::move(p));
-        if (patterns.size() >= config.max_patterns) break;
-      }
-    }
-    if (patterns.empty()) {
-      throw ModelError("dict build: pattern-site sweep produced no patterns");
+  Rng pat_rng(config.seed, 0x9a77ULL);
+  std::set<std::pair<logicsim::Pattern, logicsim::Pattern>> seen;
+  for (std::size_t s = 0;
+       s < config.pattern_sites && patterns.size() < config.max_patterns;
+       ++s) {
+    const auto site = static_cast<ArcId>(
+        pat_rng.below(static_cast<std::uint32_t>(world.nl.arc_count())));
+    for (auto& p : atpg::generate_diagnostic_patterns(
+             world.model, world.lev, site, world.config.pattern_config,
+             pat_rng)) {
+      if (!seen.emplace(p.v1, p.v2).second) continue;
+      patterns.push_back(std::move(p));
+      if (patterns.size() >= config.max_patterns) break;
     }
   }
-};
+  if (patterns.empty()) {
+    throw ModelError("dict build: pattern-site sweep produced no patterns");
+  }
+  return patterns;
+}
 
-std::uint64_t store_fingerprint(const netlist::Netlist& nl,
-                                const StoreBuildConfig& config,
-                                const BuildStack& stack) {
+std::uint64_t store_fingerprint(
+    const eval::ExperimentSetup& world, const StoreBuildConfig& config,
+    const std::vector<logicsim::PatternPair>& patterns) {
   // The checkpoint journal's experiment fingerprint over the knobs the
   // store shares with the experiment harness...
-  eval::ExperimentConfig mirror;
-  mirror.mc_samples = config.mc_samples;
-  mirror.n_chips = 0;
-  mirror.calibration_sites = config.calibration_sites;
-  mirror.clk_site_quantile = config.clk_site_quantile;
-  mirror.global_weight = config.global_weight;
-  mirror.defect_mean_lo = config.defect_mean_lo;
-  mirror.defect_mean_hi = config.defect_mean_hi;
-  mirror.defect_three_sigma = config.defect_three_sigma;
-  mirror.max_suspects = config.max_suspects;
-  mirror.library = config.library;
-  mirror.seed = config.seed;
-  const std::uint64_t base = eval::experiment_fingerprint(nl.name(), mirror);
+  const std::uint64_t base =
+      eval::experiment_fingerprint(world.nl.name(), world.config);
 
   // ...then fold in what makes this a *store*: format version, the
   // calibrated clk and the exact pattern set the matrices are indexed by.
   std::string tail = "sddd-store-v1|";
   put_u64(&tail, base);
   put_u32(&tail, kStoreFormatVersion);
-  put_u64(&tail, std::bit_cast<std::uint64_t>(stack.clk));
+  put_u64(&tail, std::bit_cast<std::uint64_t>(world.clk));
   put_u64(&tail, config.pattern_sites);
   put_u64(&tail, config.max_patterns);
-  put_u64(&tail, stack.patterns.size());
-  for (const auto& p : stack.patterns) {
+  put_u64(&tail, patterns.size());
+  for (const auto& p : patterns) {
     for (const bool b : p.v1) tail.push_back(b ? '\1' : '\0');
     for (const bool b : p.v2) tail.push_back(b ? '\1' : '\0');
   }
@@ -277,10 +229,15 @@ void pack_pattern_bits(const logicsim::Pattern& v, std::size_t words,
 std::string serialize_dictionary_store(const netlist::Netlist& nl,
                                        const StoreBuildConfig& config,
                                        StoreBuildInfo* info) {
-  const BuildStack stack(nl, config);
+  const eval::ExperimentSetup world(
+      nl, world_config(config),
+      config.clk_override > 0.0 ? std::optional(config.clk_override)
+                                : std::nullopt);
+  const std::vector<logicsim::PatternPair> patterns =
+      sweep_patterns(world, config);
   const std::size_t n_inputs = nl.inputs().size();
   const std::size_t n_outputs = nl.outputs().size();
-  const std::size_t n_patterns = stack.patterns.size();
+  const std::size_t n_patterns = patterns.size();
   const std::size_t n_arcs = nl.arc_count();
   const std::size_t n_samples = config.mc_samples;
   const std::size_t input_words = (n_inputs + 63) / 64;
@@ -293,7 +250,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     auto& table = size_tables[a];
     table.resize(n_samples);
     for (std::size_t k = 0; k < n_samples; ++k) {
-      table[k] = stack.size_model.sample(static_cast<ArcId>(a), k);
+      table[k] = world.size_model.sample(static_cast<ArcId>(a), k);
     }
   });
 
@@ -305,7 +262,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   std::string& e_bytes = payloads[3];
   cone_bytes.reserve(n_patterns * n_outputs * arc_words * 8);
   m_bytes.reserve(n_patterns * n_outputs * 8);
-  for (const auto& pat : stack.patterns) {
+  for (const auto& pat : patterns) {
     pack_pattern_bits(pat.v1, input_words, &pattern_bytes);
     pack_pattern_bits(pat.v2, input_words, &pattern_bytes);
   }
@@ -322,9 +279,8 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   std::vector<char> differs;
   for (std::size_t j = 0; j < n_patterns; ++j) {
     runtime::poll_cancellation();
-    const diagnosis::PatternSlice slice(stack.dict_sim, stack.logic_sim,
-                                        stack.lev, stack.patterns[j],
-                                        stack.clk);
+    const diagnosis::PatternSlice slice(world.dict_sim, world.logic_sim,
+                                        world.lev, patterns[j], world.clk);
     const std::vector<double>& m = slice.m_column();
     for (const double v : m) put_f64(&m_bytes, v);
     const paths::TransitionGraph& tg = slice.transition_graph();
@@ -368,7 +324,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     }
   }
 
-  const std::uint64_t fingerprint = store_fingerprint(nl, config, stack);
+  const std::uint64_t fingerprint = store_fingerprint(world, config, patterns);
 
   // Layout: header size is fixed given the circuit name, so offsets are
   // computable before anything is written.
@@ -397,14 +353,14 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   put_u64(&out, fingerprint);
   put_u64(&out, config.seed);
   put_u64(&out, n_samples);
-  put_f64(&out, stack.clk);
+  put_f64(&out, world.clk);
   put_u32(&out, static_cast<std::uint32_t>(n_inputs));
   put_u32(&out, static_cast<std::uint32_t>(n_outputs));
   put_u32(&out, static_cast<std::uint32_t>(n_patterns));
   put_u32(&out, static_cast<std::uint32_t>(n_arcs));
   put_u32(&out, static_cast<std::uint32_t>(config.max_suspects));
   put_f64(&out, config.global_weight);
-  put_f64(&out, stack.size_model.unit());
+  put_f64(&out, world.size_model.unit());
   put_f64(&out, config.defect_mean_lo);
   put_f64(&out, config.defect_mean_hi);
   put_f64(&out, config.defect_three_sigma);
@@ -428,7 +384,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
   if (info != nullptr) {
     info->fingerprint = fingerprint;
     info->run_id = obs::hex64(fingerprint);
-    info->clk = stack.clk;
+    info->clk = world.clk;
     info->n_patterns = n_patterns;
     info->n_outputs = n_outputs;
     info->n_arcs = n_arcs;
@@ -804,39 +760,33 @@ std::vector<SampledChip> sample_failing_chips(const netlist::Netlist& nl,
                                    store.circuit() + "', not '" + nl.name() +
                                    "'");
   }
-  const netlist::Levelization lev(nl);
-  // The sampler assumes the default cell library, like `dict build`; the
-  // store header does not carry library knobs.
-  const timing::StatisticalCellLibrary lib{timing::CellLibraryConfig{}};
-  const timing::ArcDelayModel model(nl, lib);
-  const logicsim::BitSimulator logic_sim(nl, lev);
-  const timing::DelayField inst_field(model, store.mc_samples(),
-                                      store.global_weight(),
-                                      store.build_seed() ^ 0xc41bULL);
-  const timing::DynamicTimingSimulator inst_sim(inst_field, lev);
-  const defect::DefectSizeModel size_model(
-      model.mean_cell_delay(), store.defect_mean_lo(), store.defect_mean_hi(),
-      store.defect_three_sigma(), store.build_seed() ^ 0x5e1fULL);
-  const stats::RandomVariable size_rv = stats::RandomVariable::Normal(
-      size_model.marginal_mean(), size_model.marginal_mean() / 6.0);
-  const defect::SegmentDefectModel location_model =
-      defect::SegmentDefectModel::uniform_single(nl, size_rv);
-  const defect::DefectInjector injector(location_model, size_model);
+  // The header records the build's world knobs (the cell library is
+  // assumed default, like `dict build`'s) and its clk, so the sampler
+  // stands in the world the store was built in, at the store's clk.
+  StoreBuildConfig built;
+  built.mc_samples = store.mc_samples();
+  built.global_weight = store.global_weight();
+  built.defect_mean_lo = store.defect_mean_lo();
+  built.defect_mean_hi = store.defect_mean_hi();
+  built.defect_three_sigma = store.defect_three_sigma();
+  built.seed = store.build_seed();
+  const eval::ExperimentSetup world(nl, world_config(built), store.clk());
   const std::vector<logicsim::PatternPair> patterns = store.patterns();
 
   std::vector<SampledChip> out;
   out.reserve(n_chips);
   for (std::size_t t = 0; t < n_chips; ++t) {
-    Rng rng = Rng(store.build_seed(), 0xe4a1ULL).split(t + 1);
+    Rng rng = world.trial_rng(t);
     SampledChip sample;
     bool failed = false;
     for (std::size_t attempt = 0; attempt < max_retries && !failed;
          ++attempt) {
-      sample.chip = injector.draw(store.mc_samples(), rng);
+      sample.chip = world.injector.draw(world.instance_samples, rng);
       sample.B = diagnosis::observe_behavior(
-          inst_sim, logic_sim, lev, patterns, sample.chip.sample_index,
+          world.inst_sim, world.logic_sim, world.lev, patterns,
+          sample.chip.sample_index,
           std::make_pair(sample.chip.defect_arc, sample.chip.defect_size),
-          store.clk());
+          world.clk);
       failed = sample.B.any_failure();
     }
     if (!failed) {

@@ -1,11 +1,12 @@
 // store.h - Building, writing and memory-mapping persistent dictionary
 // stores (format.h).
 //
-// Build side: serialize_dictionary_store() derives the store's
-// (patterns, clk) from (netlist, config) with the experiment's own seed
-// discipline (dictionary field seed ^ 0xd1c7, size model seed ^ 0x5e1f,
-// calibration stream Rng(seed, 0xca1b)), renders the full byte image,
-// and build_dictionary_store() lands it through the
+// Build side: serialize_dictionary_store() builds the experiment's own
+// world, eval::ExperimentSetup (eval/setup.h), at the knobs the config
+// shares with ExperimentConfig, so its dictionary field, size model and
+// calibrated clk are the experiment's.  It adds only what belongs to the
+// store: the pattern-site sweep, the per-arc size tables and the section
+// bytes.  build_dictionary_store() lands the image through the
 // obs/atomic_file temp+fsync+rename discipline - a crash mid-build never
 // leaves a partial store behind.  The whole pipeline is a pure function of
 // (netlist, config): building twice produces byte-identical files, which
@@ -207,12 +208,12 @@ struct SampledChip {
   diagnosis::BehaviorMatrix B{0, 0};
 };
 
-/// Draws `n_chips` failing chips from the *instance* Monte-Carlo world
-/// (field seed = store seed ^ 0xc41b, chip t's randomness =
-/// Rng(seed, 0xe4a1).split(t + 1) - the experiment's own discipline) and
-/// observes their behavior against the store's patterns at the store's
-/// clk.  Chips that never fail within the retry budget are redrawn.
-/// Deterministic; the `dict chips` replay corpus generator.
+/// Draws `n_chips` failing chips from the *instance* Monte-Carlo world of
+/// the eval::ExperimentSetup the store was built in (rebuilt from the
+/// header at the store's clk; chip t draws from the setup's trial_rng(t))
+/// and observes their behavior against the store's patterns.  Chips that
+/// never fail within the retry budget are redrawn.  Deterministic; the
+/// `dict chips` replay corpus generator.
 std::vector<SampledChip> sample_failing_chips(const netlist::Netlist& nl,
                                               const DictionaryStore& store,
                                               std::size_t n_chips,

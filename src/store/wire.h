@@ -1,6 +1,5 @@
 // wire.h - The serve transport: length-prefixed JSON frames over a unix
-// or TCP stream socket, plus the minimal JSON reader the server and
-// clients share.
+// or TCP stream socket.
 //
 // Framing: every message is `u32 length (big-endian) | length bytes of
 // UTF-8 JSON`.  The prefix makes request boundaries explicit (no
@@ -8,60 +7,22 @@
 // reject oversized frames BEFORE buffering them - the max_frame_bytes
 // backstop in ServerConfig.
 //
-// The JSON reader is deliberately small: objects, arrays, strings (with
-// the escapes diagnose_batch_json emits), doubles, bools, null.  It
-// exists so the serve path has zero external dependencies; it is not a
-// general-purpose validator (e.g. it accepts trailing garbage after the
-// top-level value, which framing already excludes).
+// The frames are decoded by the repository's one JSON reader, which lives
+// in obs/json.h; the names below keep it reachable as store::JsonValue and
+// store::parse_json for the serve path's callers.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/json.h"
 
 namespace sddd::store {
 
-// ---------------------------------------------------------------------------
-// JSON
-
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_string() const { return kind == Kind::kString; }
-  bool is_number() const { return kind == Kind::kNumber; }
-
-  /// Member lookup; nullptr when absent or not an object.
-  const JsonValue* get(const std::string& key) const;
-  /// String member with default.
-  std::string get_string(const std::string& key,
-                         const std::string& fallback = "") const;
-  /// Numeric member with default (also accepts integral-valued doubles).
-  double get_number(const std::string& key, double fallback = 0.0) const;
-};
-
-/// Deepest array/object nesting parse_json accepts.  The reader recurses
-/// once per level, so this bounds its stack on a hostile frame; the
-/// deepest frame the repository writes (a diagnose response inside its
-/// trace envelope) nests 7 levels.
-inline constexpr std::size_t kMaxJsonDepth = 64;
-
-/// Parses one JSON document.  Throws sddd::ParseError on malformed input,
-/// including nesting deeper than kMaxJsonDepth.
-JsonValue parse_json(std::string_view text);
+using obs::JsonValue;
+using obs::kMaxJsonDepth;
+using obs::parse_json;
 
 // ---------------------------------------------------------------------------
 // Trace envelope

@@ -90,7 +90,8 @@ TEST(ClarkSsta, ExactOnChains) {
   const auto a = nl.add_input("a");
   GateId prev = a;
   for (int i = 0; i < 5; ++i) {
-    prev = nl.add_gate(CellType::kNot, "n" + std::to_string(i), {prev});
+    prev = nl.add_gate(CellType::kNot,
+                       std::string("n").append(std::to_string(i)), {prev});
   }
   nl.add_output(prev);
   nl.freeze();

@@ -32,7 +32,8 @@ TEST(Criticality, ChainIsFullyCritical) {
   const auto a = nl.add_input("a");
   GateId prev = a;
   for (int i = 0; i < 4; ++i) {
-    prev = nl.add_gate(CellType::kBuf, "b" + std::to_string(i), {prev});
+    prev = nl.add_gate(CellType::kBuf,
+                       std::string("b").append(std::to_string(i)), {prev});
   }
   nl.add_output(prev);
   nl.freeze();
@@ -54,7 +55,8 @@ TEST(Criticality, DominantBranchWins) {
   const auto a = nl.add_input("a");
   GateId lng = a;
   for (int i = 0; i < 6; ++i) {
-    lng = nl.add_gate(CellType::kBuf, "L" + std::to_string(i), {lng});
+    lng = nl.add_gate(CellType::kBuf,
+                      std::string("L").append(std::to_string(i)), {lng});
   }
   const auto sht = nl.add_gate(CellType::kBuf, "S", {a});
   nl.add_output(lng);

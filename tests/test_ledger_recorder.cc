@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -95,6 +96,20 @@ TEST(Ledger, RecordRoundTripsThroughEncode) {
   EXPECT_EQ(back.manifest_fnv, rec.manifest_fnv);
   EXPECT_EQ(back.result_fnv, rec.result_fnv);
   EXPECT_EQ(back.result_path, rec.result_path);
+  EXPECT_EQ(back.unix_ms, rec.unix_ms);
+}
+
+TEST(Ledger, IntegersRoundTripExactly) {
+  // No double holds 2^64 - 1 or 2^53 + 1: a reader that decodes numbers
+  // only as doubles loses their low bits.
+  obs::LedgerRecord rec = sample_record("0123456789abcdef");
+  rec.seed = std::numeric_limits<std::uint64_t>::max();
+  rec.counters["exact"] = (std::uint64_t{1} << 53) + 1;
+  rec.unix_ms = std::uint64_t{1} << 63;
+  obs::LedgerRecord back;
+  ASSERT_TRUE(obs::decode_ledger_record(obs::encode_ledger_record(rec), &back));
+  EXPECT_EQ(back.seed, rec.seed);
+  EXPECT_EQ(back.counters, rec.counters);
   EXPECT_EQ(back.unix_ms, rec.unix_ms);
 }
 

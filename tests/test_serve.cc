@@ -2,7 +2,8 @@
 // expiry becomes a typed response (never a hang), bounded backpressure
 // sheds with "overloaded" (never an unbounded queue), and a corrupt store
 // is quarantined while the healthy ones keep answering - all in-process
-// over a real unix socket.
+// over a real unix socket - plus the request decoding the server shares
+// with `dict query` (parse_batch_query).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -201,6 +202,61 @@ TEST(Serve, WireBackwardCompatAndTraceEcho) {
       store::split_response_envelope(client.request(stamped), &id2, &payload2));
   EXPECT_EQ(id2, "load-gen.7");
   EXPECT_EQ(payload2, expected);
+
+  server.request_drain();
+  server.wait();
+}
+
+TEST(Serve, BatchQueryParserRejectsWithTheServersMessages) {
+  std::string request;
+  const std::string path = build_store_and_request("servequery", 61, &request);
+  const store::DictionaryStore st(path);
+  const store::JsonValue req = store::parse_json(request);
+  store::BatchQuery query;
+  std::string error;
+  ASSERT_TRUE(store::parse_batch_query(req, st, 10, &query, &error)) << error;
+  EXPECT_TRUE(query.match_e);
+  EXPECT_EQ(query.top_k, 5u);
+  ASSERT_FALSE(query.chips.empty());
+  EXPECT_EQ(query.chips[0].id, "chip0");
+
+  const auto rejection = [&](const store::JsonValue& bad) {
+    store::BatchQuery ignored;
+    std::string why;
+    EXPECT_FALSE(store::parse_batch_query(bad, st, 10, &ignored, &why));
+    return why;
+  };
+  for (const char* match : {"x", "E"}) {
+    store::JsonValue bad = req;
+    bad.object["match"].string = match;
+    EXPECT_EQ(rejection(bad), "match must be \"e\" or \"s\"") << match;
+  }
+  store::JsonValue no_chips = req;
+  no_chips.object.erase("chips");
+  EXPECT_EQ(rejection(no_chips), "missing \"chips\" array");
+  store::JsonValue number_row = req;
+  number_row.object["chips"].array[0].object["b"].array[0].kind =
+      store::JsonValue::Kind::kNumber;
+  EXPECT_EQ(rejection(number_row), "chip chip0: \"b\" rows must be strings");
+}
+
+TEST(Serve, UnknownMatchModeIsABadRequest) {
+  std::string request;
+  const std::string path = build_store_and_request("servematch", 67, &request);
+  store::ServerConfig cfg;
+  cfg.store_paths = {path};
+  cfg.unix_socket = temp_path("servematch.sock").string();
+  store::DiagnosisServer server(cfg);
+  server.start();
+
+  std::string bad = request;
+  const auto pos = bad.find("\"match\":\"e\"");
+  ASSERT_NE(pos, std::string::npos);
+  bad.replace(pos, 11, "\"match\":\"x\"");
+  auto client = store::ServeClient::connect(cfg.unix_socket, -1);
+  EXPECT_EQ(store::response_payload(client.request(bad)),
+            "{\"ok\":false,\"error\":\"bad_request\",\"message\":"
+            "\"match must be \\\"e\\\" or \\\"s\\\"\"}");
 
   server.request_drain();
   server.wait();

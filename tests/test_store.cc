@@ -1,5 +1,5 @@
-// Tests for the persistent dictionary store: build determinism, the
-// sparse "e" section (exactly the E columns that differ from M), the
+// Tests for the persistent dictionary store: build determinism, a clk
+// equal to the experiment's calibration, the sparse "e" section (exactly the E columns that differ from M), the
 // StoreQueryEngine's bit-identity to the reference scorer (score_oracle.h)
 // and to an in-process Diagnoser over the same dictionary world, and the
 // loader's corruption taxonomy (truncated tails, single bit flips, version
@@ -19,6 +19,7 @@
 #include "diagnosis/behavior.h"
 #include "diagnosis/diagnoser.h"
 #include "diagnosis/dictionary.h"
+#include "eval/experiment.h"
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
@@ -240,6 +241,34 @@ TEST(Store, RoundTripMatchesInMemoryDiagnoser) {
           want);
     }
   }
+}
+
+TEST(Store, ClkMatchesExperimentCalibration) {
+  // The store follows the experiment's seed discipline: at the knobs the
+  // two configs share, the store's calibrated clk is the experiment's.
+  const auto nl = store_netlist();
+  const store::StoreBuildConfig config = small_config();
+  eval::ExperimentConfig experiment;
+  experiment.mc_samples = config.mc_samples;
+  experiment.n_chips = 0;
+  experiment.calibration_sites = config.calibration_sites;
+  experiment.clk_site_quantile = config.clk_site_quantile;
+  experiment.global_weight = config.global_weight;
+  experiment.defect_mean_lo = config.defect_mean_lo;
+  experiment.defect_mean_hi = config.defect_mean_hi;
+  experiment.defect_three_sigma = config.defect_three_sigma;
+  experiment.max_suspects = config.max_suspects;
+  experiment.library = config.library;
+  experiment.seed = config.seed;
+  store::StoreBuildInfo info;
+  store::serialize_dictionary_store(nl, config, &info);
+  EXPECT_EQ(info.clk, eval::run_diagnosis_experiment(nl, experiment).clk);
+
+  // A pinned clk skips the calibration and is the store's clk.
+  store::StoreBuildConfig pinned = config;
+  pinned.clk_override = 0.75 * info.clk;
+  store::serialize_dictionary_store(nl, pinned, &info);
+  EXPECT_EQ(info.clk, pinned.clk_override);
 }
 
 TEST(Store, StoredColumnsAreExactlyThoseDifferingFromM) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, runnable locally or from any CI runner:
 #
-#   1. tier-1 verify: Release configure + build + complete ctest suite;
+#   1. tier-1 verify: Release configure + -Werror build + complete ctest;
 #   2. sanitizer pass: smoke-labeled ctest entries under ASan+UBSan;
 #   3. lint gate: sddd_lint over the embedded ISCAS catalog circuits plus
 #      a dictionary audit -- any error-severity finding fails the gate;
@@ -67,7 +67,7 @@ cd "$(dirname "$0")/.."
 JOBS="${1:--j$(nproc)}"
 
 echo "== [1/14] tier-1 build + tests =="
-cmake -B build -S .
+cmake -B build -S . -DSDDD_WARNINGS_AS_ERRORS=ON
 cmake --build build "$JOBS"
 ctest --test-dir build --output-on-failure "$JOBS"
 

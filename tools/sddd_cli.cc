@@ -758,31 +758,23 @@ int cmd_dict_query(const std::string& store_path, const Options& opts) {
   } else {
     const dstore::DictionaryStore st(store_path);
     const dstore::StoreQueryEngine engine(st);
-    const dstore::JsonValue req = dstore::parse_json(request_text);
-    const dstore::JsonValue* chips_json = req.get("chips");
-    if (chips_json == nullptr || !chips_json->is_array()) {
-      std::fprintf(stderr, "dict query: request has no \"chips\" array\n");
+    dstore::JsonValue req = dstore::parse_json(request_text);
+    // --match and --top override the request's own fields.
+    if (!opts.str("match").empty()) {
+      req.object["match"] =
+          dstore::parse_json(obs::json_string(opts.str("match")));
+    }
+    if (!opts.str("top").empty()) {
+      req.object["top"] = dstore::parse_json(std::to_string(opts.get("top", 0)));
+    }
+    dstore::BatchQuery query;
+    std::string error;
+    if (!dstore::parse_batch_query(req, st, 10, &query, &error)) {
+      std::fprintf(stderr, "dict query: %s\n", error.c_str());
       return 1;
     }
-    std::vector<dstore::ChipQuery> chips;
-    for (std::size_t c = 0; c < chips_json->array.size(); ++c) {
-      const dstore::JsonValue& chip = chips_json->array[c];
-      std::vector<std::string> rows;
-      const dstore::JsonValue* rows_json = chip.get("b");
-      if (rows_json == nullptr || !rows_json->is_array()) {
-        std::fprintf(stderr, "dict query: chip %zu has no \"b\" rows\n", c);
-        return 1;
-      }
-      for (const auto& row : rows_json->array) rows.push_back(row.string);
-      chips.push_back(dstore::ChipQuery{
-          chip.get_string("id", std::to_string(c)),
-          dstore::behavior_from_rows(rows, st.n_outputs(), st.n_patterns())});
-    }
-    const std::string match =
-        opts.str("match", req.get_string("match", "e"));
-    const auto top_k = static_cast<std::size_t>(
-        opts.get("top", static_cast<long>(req.get_number("top", 10))));
-    response = dstore::diagnose_batch_json(engine, chips, match == "e", top_k);
+    response = dstore::diagnose_batch_json(engine, query.chips, query.match_e,
+                                           query.top_k);
   }
 
   const std::string out_path = opts.str("out");
