@@ -15,8 +15,8 @@
 //       (future work #3);
 //   A7  logic baseline         - traditional gross-delay dictionary vs the
 //       statistical methods (Sections A-C);
-//   A6  automatic K            - the fixed-K ladder the auto-K heuristics
-//       adapt against (future work #2).
+//   A6  fixed-K ladder         - Alg_rev success at K = 1..12 on the base
+//       configuration.
 //
 // One mid-size circuit (s1238-class stand-in) keeps the sweep affordable.
 // Usage: bench_ablation [--chips N] [--scale S]
@@ -182,23 +182,18 @@ int main(int argc, char** argv) {
         "   statistical matching pulls ahead (the paper's Sections A-C).\n\n");
   }
 
-  // --- A6: automatic K selection (future work #2) ---
-  std::printf("A6: automatic K selection heuristics (Alg_rev)\n");
+  // --- A6: fixed-K success ladder ---
+  std::printf("A6: fixed-K success ladder (Alg_rev)\n");
   {
     auto config = base_config();
     config.n_chips = chips;
     const auto r = run_diagnosis_experiment(nl, config);
-    // Reconstruct per-chip diagnoses would duplicate work; instead report
-    // the fixed-K ladder next to the auto-K behavior measured in
-    // tests/test_auto_k.cc.  Here: the success-vs-K ladder auto-K must beat
-    // on average.
     std::printf("  fixed-K ladder (rev): ");
     for (const int k : {1, 2, 3, 5, 8, 12}) {
       std::printf("K=%d:%.0f%%  ", k,
                   100 * r.success_rate(Method::kRev, k));
     }
-    std::printf("\n  (per-chip adaptive-K resolution is exercised in "
-                "examples/error_function_study and tests)\n");
+    std::printf("\n");
   }
   return 0;
 }

@@ -53,12 +53,13 @@ struct DiagnoserConfig {
   /// default: the matrix is |S| x |TP| doubles the scoring loop otherwise
   /// never materializes.
   bool capture_phi = false;
-  /// Column cache shared across chips (signature_matrix.h): suspect
-  /// columns are built once per (circuit, clk, pattern) and reused by every
-  /// chip that shares the pattern set.  It must have been built against
-  /// the same simulator, clk and match mode; diagnose() throws on a
-  /// clk/match mismatch.  Null (default): each diagnose() call scores
-  /// through a call-local cache, with bit-identical results.
+  /// Null (default): each diagnose() call scores through a call-local
+  /// column cache (signature_matrix.h).  That is what the experiment does,
+  /// because every trial draws its own pattern set.  Set it only when
+  /// several chips share one pattern set: their suspect columns are then
+  /// built once per (circuit, clk, pattern) and reused, with bit-identical
+  /// results.  It must have been built against the same simulator, clk and
+  /// match mode; diagnose() throws on a clk/match mismatch.
   const SignatureCache* cache = nullptr;
   /// Ignored: collapse is always on.  Kept only because perfbench sets it.
   bool collapse_unobservable = false;

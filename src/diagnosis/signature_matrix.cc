@@ -221,9 +221,10 @@ const double* SignatureCache::columns(
   bytes_.fetch_add(built_bytes, std::memory_order_relaxed);
   sig_cache_bytes_counter().add(built_bytes);
   if (built != 0) {
-    // One breadcrumb per miss *batch*, not per column: which caller built
-    // a shared column is schedule-dependent, so these events are excluded
-    // from the deterministic-merge contract (DESIGN.md section 14).
+    // One breadcrumb per miss *batch*, not per column.  When a cache is
+    // shared across chips, which caller builds a column is
+    // schedule-dependent, so these events are excluded from the
+    // deterministic-merge contract (DESIGN.md section 14).
     obs::Recorder::instance().record(obs::EventKind::kCacheMiss, "sig", built,
                                      built_bytes);
   }

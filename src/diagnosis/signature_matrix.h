@@ -1,5 +1,5 @@
-// signature_matrix.h - Cached suspect signature/E columns, shared across
-// every chip of an experiment.
+// signature_matrix.h - Cached suspect signature/E columns, shared by every
+// chip diagnosed against one pattern set.
 //
 // A dictionary column depends only on (pattern, suspect, size model,
 // dictionary delay field, clk, match mode) - never on the chip under
@@ -23,18 +23,19 @@
 // Keying: patterns are keyed by an FNV-1a fingerprint of their (v1, v2)
 // bits with full equality verification on the stored pattern (collisions
 // fall into a bucket list), and the cache as a whole is keyed by
-// construction - one cache per ExperimentSetup, whose inputs are exactly
-// the fields of the experiment run fingerprint (see DESIGN.md section 12).
+// construction: its simulator, clk and match mode are fixed when it is
+// built (see DESIGN.md section 12).
 // The defect-size table per suspect is precomputed once (sample(arc, k) is
 // a pure function of (arc, k)), so cached columns are bit-identical to
 // PatternSlice::e_column / signature_column.
 //
-// Thread safety: one experiment shares a single cache across its parallel
-// trial workers.  A cache-level mutex guards the pattern map, a per-entry
-// mutex serializes column builds for one pattern (distinct patterns build
-// concurrently), and returned pointers stay valid for the cache's lifetime
-// - columns are never moved or evicted.  The underlying simulator must be
-// prewarm()ed before concurrent use.
+// Thread safety: chips diagnosed by parallel workers may share one cache.
+// (The experiment does not: each trial draws its own pattern set, so each
+// diagnose() builds a call-local cache.)  A cache-level mutex guards the
+// pattern map, a per-entry mutex serializes column builds for one pattern
+// (distinct patterns build concurrently), and returned pointers stay valid
+// for the cache's lifetime - columns are never moved or evicted.  The
+// underlying simulator must be prewarm()ed before concurrent use.
 #pragma once
 
 #include <atomic>

@@ -9,7 +9,6 @@
 
 #include "diagnosis/behavior.h"
 #include "diagnosis/logic_baseline.h"
-#include "diagnosis/signature_matrix.h"
 #include "eval/checkpoint.h"
 #include "eval/explain.h"
 #include "eval/setup.h"
@@ -399,18 +398,12 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       obs::MetricsRegistry::instance().snapshot();
   const auto wall_start = std::chrono::steady_clock::now();
   const ExperimentSetup S(nl, config);
-  // Suspect-column cache shared by every trial's diagnosis (empty and free
-  // until the first column).  Keyed by construction: its inputs are pure
-  // functions of (netlist, config), exactly what experiment_fingerprint()
-  // covers.
-  const diagnosis::SignatureCache sig_cache(S.dict_sim, S.logic_sim, S.lev,
-                                            S.size_model, S.clk,
-                                            !config.match_on_signature);
-
+  // Each diagnose() scores through a call-local column cache: every trial
+  // draws its own pattern set, so a cache shared across trials would
+  // never hit.
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
-  diag_config.cache = &sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
   const diagnosis::LogicBaselineDiagnoser logic_baseline(S.logic_sim, S.lev);
@@ -619,15 +612,11 @@ introspect::ExplanationReport explain_trial(const Netlist& nl,
   SDDD_SPAN(span, "exp.explain_trial");
   span.arg("circuit", std::string_view(nl.name()));
   const ExperimentSetup S(nl, config);
-  const diagnosis::SignatureCache sig_cache(S.dict_sim, S.logic_sim, S.lev,
-                                            S.size_model, S.clk,
-                                            !config.match_on_signature);
 
   diagnosis::DiagnoserConfig diag_config;
   diag_config.max_suspects = config.max_suspects;
   diag_config.match_on_total_probability = !config.match_on_signature;
   diag_config.capture_phi = true;
-  diag_config.cache = &sig_cache;
   const Diagnoser diagnoser(S.dict_sim, S.logic_sim, S.lev, S.size_model,
                             diag_config);
 

@@ -485,7 +485,7 @@ void DictionaryStore::parse_and_verify(std::uint64_t expect_fingerprint) {
   n_arcs_ = r.get_u32();
   max_suspects_ = r.get_u32();
   global_weight_ = r.get_f64();
-  size_unit_ = r.get_f64();
+  (void)r.get_u64();  // size_unit_bits: the build's input, unused to serve
   mean_lo_ = r.get_f64();
   mean_hi_ = r.get_f64();
   three_sigma_ = r.get_f64();

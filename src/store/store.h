@@ -122,7 +122,6 @@ class DictionaryStore {
   std::size_t n_arcs() const { return n_arcs_; }
   std::size_t max_suspects() const { return max_suspects_; }
   double global_weight() const { return global_weight_; }
-  double size_unit() const { return size_unit_; }
   double defect_mean_lo() const { return mean_lo_; }
   double defect_mean_hi() const { return mean_hi_; }
   double defect_three_sigma() const { return three_sigma_; }
@@ -140,10 +139,8 @@ class DictionaryStore {
   /// i.e. unless its E column differs from M.
   const double* column(std::size_t j, netlist::ArcId arc,
                        bool match_e) const;
-  /// Words per cone bitset row (= ceil(n_arcs / 64)).
-  std::size_t arc_words() const { return arc_words_; }
-  /// Cone bitset of (pattern j, output row i): arc_words() words, bit a =
-  /// arc a lies on an active path to that output under pattern j.
+  /// Cone bitset of (pattern j, output row i): ceil(n_arcs() / 64) words,
+  /// bit a = arc a lies on an active path to that output under pattern j.
   const std::uint64_t* cone_row(std::size_t j, std::size_t output) const;
   /// Pattern j unpacked back to the two-vector test it was built from.
   logicsim::PatternPair pattern(std::size_t j) const;
@@ -176,7 +173,6 @@ class DictionaryStore {
   std::size_t n_arcs_ = 0;
   std::size_t max_suspects_ = 0;
   double global_weight_ = 0.0;
-  double size_unit_ = 0.0;
   double mean_lo_ = 0.0;
   double mean_hi_ = 0.0;
   double three_sigma_ = 0.0;

@@ -1,6 +1,6 @@
 // Unit tests for the evaluation harness: experiment mechanics (metrics,
-// determinism, monotone-in-K success), the Table I driver and the embedded
-// paper reference numbers.
+// determinism, monotone-in-K success), the Table I driver, the embedded
+// paper reference numbers and multi-defect trials (future work #3).
 #include <gtest/gtest.h>
 
 #include "eval/experiment.h"
@@ -146,6 +146,50 @@ TEST(Table1, RunsOneCircuitAtTinyScale) {
   const auto csv = result.to_csv();
   EXPECT_NE(csv.find("circuit,k"), std::string::npos);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3
+}
+
+TEST(MultiDefect, ExperimentRunsAndRecordsExtras) {
+  netlist::SynthSpec spec;
+  spec.name = "multi";
+  spec.n_inputs = 16;
+  spec.n_outputs = 10;
+  spec.n_gates = 120;
+  spec.depth = 10;
+  spec.seed = 73;
+  const auto nl = netlist::synthesize(spec);
+
+  eval::ExperimentConfig config;
+  config.mc_samples = 80;
+  config.n_chips = 5;
+  config.n_defects = 2;
+  config.seed = 21;
+  const auto r = eval::run_diagnosis_experiment(nl, config);
+  EXPECT_EQ(r.trials.size(), 5u);
+  for (const auto& t : r.trials) {
+    if (!t.failed_test) continue;
+    EXPECT_EQ(t.extra_defects.size(), 1u);
+    EXPECT_LT(t.extra_defects[0].first, nl.arc_count());
+    EXPECT_GT(t.extra_defects[0].second, 0.0);
+  }
+}
+
+TEST(MultiDefect, SingleDefectConfigHasNoExtras) {
+  netlist::SynthSpec spec;
+  spec.name = "single";
+  spec.n_inputs = 14;
+  spec.n_outputs = 8;
+  spec.n_gates = 100;
+  spec.depth = 9;
+  spec.seed = 74;
+  const auto nl = netlist::synthesize(spec);
+  eval::ExperimentConfig config;
+  config.mc_samples = 80;
+  config.n_chips = 3;
+  config.seed = 22;
+  const auto r = eval::run_diagnosis_experiment(nl, config);
+  for (const auto& t : r.trials) {
+    EXPECT_TRUE(t.extra_defects.empty());
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // SDDD_FAULTS injection harness, atomic artifact writes, cancellation and
 // deadlines, the checkpoint journal (round trip, corruption, truncated
 // tails), trial quarantine inside run_diagnosis_experiment, and the
-// hardened parsers (behavior CSV, bench, verilog).
+// hardened parsers (bench, verilog).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "diagnosis/dictionary_io.h"
 #include "eval/checkpoint.h"
 #include "eval/experiment.h"
 #include "netlist/bench_io.h"
@@ -538,43 +537,6 @@ TEST(NumericValidation, NanDelayRowThrowsNumericError) {
 }
 
 // --- Hardened parsers ---
-
-TEST(BehaviorCsvHardening, DiagnosticsNameRowAndColumn) {
-  const auto parse = [](const std::string& text) {
-    std::istringstream is(text);
-    return diagnosis::read_behavior_csv(is);
-  };
-  try {
-    (void)parse("2,2\n0,1\n0,x\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("output row 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("pattern column 1"), std::string::npos) << what;
-    EXPECT_EQ(e.line(), 3u);
-  }
-  try {
-    (void)parse("2,3\n0,1,1\n0,1\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("jagged row"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("2 of 3"), std::string::npos)
-        << e.what();
-  }
-  try {
-    (void)parse("0,4\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("empty matrix"), std::string::npos);
-  }
-  try {
-    (void)parse("3,2\n0,1\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("1 of 3"), std::string::npos)
-        << e.what();
-  }
-}
 
 TEST(ParserHardening, BenchFileErrorsCarryPathAndLine) {
   const auto path = temp_path("broken_input.bench");

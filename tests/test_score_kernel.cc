@@ -285,8 +285,8 @@ TEST(SignatureCache, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(SignatureCache, SharedCacheAcrossParallelChips) {
-  // The experiment-loop shape: one cache, many chips diagnosed by parallel
-  // workers.  Every chip must score exactly as its reference.
+  // Chips sharing one pattern set: one cache, many chips diagnosed by
+  // parallel workers.  Every chip must score exactly as its reference.
   const ThreadCountGuard guard;
   const KernelFixture f;
   constexpr std::size_t kChips = 4;

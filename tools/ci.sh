@@ -32,7 +32,8 @@
 #      manifest; two identical ledgered runs must report "rank stability:
 #      identical" through sddd_cli report (text and JSON);
 #  10. store/serve crash-replay smoke: build a dictionary store twice
-#      (byte-identical), query it with the committed request
+#      (byte-identical), check the section table `dict info` prints,
+#      query it with the committed request
 #      tests/data/golden/s1196_query.req.json under both match modes and
 #      require the committed responses s1196_query_{e,s}.json byte for
 #      byte (run_id aside: it folds in the store format version), then
@@ -309,6 +310,27 @@ CLI=./build/tools/sddd_cli
 "$CLI" dict build "$OBS_DIR/s1196.bench" "$OBS_DIR/s1196b.dict" --samples 60
 cmp "$OBS_DIR/s1196.dict" "$OBS_DIR/s1196b.dict"
 "$CLI" dict verify "$OBS_DIR/s1196.dict"
+
+# dict info must list exactly the format-v2 sections, each crc spelled as
+# 16 lowercase hex digits, under a byte total equal to the file's size.
+"$CLI" dict info "$OBS_DIR/s1196.dict" > "$OBS_DIR/dict_info.txt"
+python3 - "$OBS_DIR/dict_info.txt" "$OBS_DIR/s1196.dict" <<'EOF'
+import os, re, sys
+with open(sys.argv[1]) as f:
+    lines = f.read().splitlines()
+totals = [int(m.group(1)) for l in lines
+          if (m := re.fullmatch(r"  (\d+) bytes, sections:", l))]
+assert totals == [os.path.getsize(sys.argv[2])], \
+    (totals, os.path.getsize(sys.argv[2]))
+sections = [m.groups() for l in lines
+            if (m := re.fullmatch(r"    (\S+) +offset +\d+ +\d+ bytes  crc (\S+)",
+                                  l))]
+names = [name for name, _ in sections]
+assert names == ["patterns", "cones", "m", "e"], names
+for name, crc in sections:
+    assert re.fullmatch(r"[0-9a-f]{16}", crc), (name, crc)
+print(f"dict info ok: sections {' '.join(names)}, {totals[0]} bytes")
+EOF
 
 # Cross-version golden gate: the served bytes must not move when the store
 # format or the scoring loop does.  The committed request, queried from

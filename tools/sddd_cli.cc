@@ -675,10 +675,10 @@ int cmd_dict_info(const std::string& path) {
   std::printf("  %llu bytes, sections:\n",
               static_cast<unsigned long long>(st.file_bytes()));
   for (const auto& sec : st.sections()) {
-    std::printf("    %-8s  offset %8llu  %10llu bytes  crc %016llx\n",
+    std::printf("    %-8s  offset %8llu  %10llu bytes  crc %s\n",
                 sec.name.c_str(), static_cast<unsigned long long>(sec.offset),
                 static_cast<unsigned long long>(sec.bytes),
-                static_cast<unsigned long long>(sec.crc));
+                obs::hex64(sec.crc).c_str());
   }
   return 0;
 }
