@@ -35,7 +35,8 @@ void push_unique(std::vector<PatternPair>& set, PatternPair p,
 
 std::vector<PatternPair> generate_diagnostic_patterns(
     const timing::ArcDelayModel& model, const netlist::Levelization& lev,
-    ArcId site, const DiagnosticPatternConfig& config, stats::Rng& rng) {
+    ArcId site, const DiagnosticPatternConfig& config, stats::Rng& rng,
+    ConflictCache* conflicts) {
   const auto& nl = model.netlist();
   std::vector<PatternPair> set;
 
@@ -46,7 +47,7 @@ std::vector<PatternPair> generate_diagnostic_patterns(
       nl, lev, model.means(), site,
       std::max(config.candidate_paths, config.paths_per_site));
 
-  const PathDelayAtpg atpg(nl, lev);
+  const PathDelayAtpg atpg(nl, lev, conflicts);
   std::size_t tested_paths = 0;
   for (const auto& path : candidates) {
     if (tested_paths >= config.paths_per_site) break;

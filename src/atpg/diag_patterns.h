@@ -41,11 +41,14 @@ struct DiagnosticPatternConfig {
 };
 
 /// Generates the diagnostic pattern set for a fault site.  Deterministic
-/// given `rng`'s state.  Duplicate patterns are removed.
+/// given `rng`'s state.  Duplicate patterns are removed.  `conflicts`
+/// (optional, built for the model's netlist) lets PODEM skip candidate
+/// paths earlier calls proved false; the patterns and the RNG state after
+/// the call are the same with or without it.
 std::vector<logicsim::PatternPair> generate_diagnostic_patterns(
     const timing::ArcDelayModel& model, const netlist::Levelization& lev,
     netlist::ArcId site, const DiagnosticPatternConfig& config,
-    stats::Rng& rng);
+    stats::Rng& rng, ConflictCache* conflicts = nullptr);
 
 /// Random-search component only: up to `count` patterns under which `site`
 /// is active, chosen among `tries` random two-vector patterns as the ones

@@ -20,8 +20,9 @@ using netlist::Netlist;
 using paths::Path;
 
 PathDelayAtpg::PathDelayAtpg(const Netlist& nl,
-                             const netlist::Levelization& lev)
-    : nl_(&nl), lev_(&lev), sim_(nl, lev), podem_(nl, lev) {}
+                             const netlist::Levelization& lev,
+                             ConflictCache* conflicts)
+    : nl_(&nl), lev_(&lev), sim_(nl, lev), podem_(nl, lev, conflicts) {}
 
 namespace {
 

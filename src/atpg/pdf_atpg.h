@@ -47,7 +47,9 @@ struct SensitizedTemplates {
 
 class PathDelayAtpg {
  public:
-  PathDelayAtpg(const netlist::Netlist& nl, const netlist::Levelization& lev);
+  /// `conflicts` (optional) is handed to the PODEM solver (see podem.h).
+  PathDelayAtpg(const netlist::Netlist& nl, const netlist::Levelization& lev,
+                ConflictCache* conflicts = nullptr);
 
   /// Solves the sensitization objectives only (no fill): the PODEM half of
   /// generate().  Exposed so alternative fill strategies (ga_fill.h) can

@@ -1,6 +1,11 @@
 #include "atpg/podem.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
+
+#include "atpg/conflict_cache.h"
+#include "obs/metrics.h"
 
 namespace sddd::atpg {
 
@@ -10,42 +15,13 @@ using netlist::Gate;
 using netlist::GateId;
 using netlist::Netlist;
 
-Podem::Podem(const Netlist& nl, const netlist::Levelization& lev)
-    : nl_(&nl), lev_(&lev), sim_(nl, lev) {
-  input_index_.assign(nl.gate_count(), -1);
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    input_index_[nl.inputs()[i]] = static_cast<std::int32_t>(i);
-  }
-}
-
-namespace {
-
-Tern from_bool(bool b) { return b ? Tern::k1 : Tern::k0; }
-
-/// Status of an objective set under the current simulation values.
-enum class Status { kSatisfied, kConflict, kOpen };
-
-Status check(std::span<const Objective> objectives,
-             const std::vector<Tern>& values, const Objective** first_open) {
-  Status st = Status::kSatisfied;
-  *first_open = nullptr;
-  for (const Objective& obj : objectives) {
-    const Tern v = values[obj.gate];
-    if (v == Tern::kX) {
-      if (*first_open == nullptr) *first_open = &obj;
-      st = Status::kOpen;
-    } else if ((v == Tern::k1) != obj.value) {
-      return Status::kConflict;
-    }
-  }
-  return st;
-}
-
 /// Event-driven incremental implication: assigning one PI re-evaluates only
 /// its affected fan-out cone, in level order, recording every changed gate
 /// on a trail so the assignment can be undone in O(changes).  This is what
 /// makes PODEM affordable on the multi-thousand-gate circuits: the naive
 /// alternative (full resimulation per decision) costs O(|V|) per backtrack.
+/// A Podem keeps one at its all-X baseline between solves, so a solve
+/// costs only the gates its own assignments touch.
 class EventSim {
  public:
   EventSim(const Netlist& nl, const netlist::Levelization& lev)
@@ -53,20 +29,9 @@ class EventSim {
         lev_(&lev),
         values_(nl.gate_count(), Tern::kX),
         queued_(nl.gate_count(), false),
-        buckets_(lev.depth() + 1) {}
-
-  const std::vector<Tern>& values() const { return values_; }
-
-  /// Re-initializes all values from a full PI assignment (one full sweep;
-  /// used once per solve call).
-  void reset(const std::vector<Tern>& pi_values) {
-    const Netlist& nl = *nl_;
-    std::fill(values_.begin(), values_.end(), Tern::kX);
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      values_[nl.inputs()[i]] = pi_values[i];
-    }
+        buckets_(lev.depth() + 1) {
     std::vector<Tern> fanin_buf;
-    for (const GateId g : lev_->topo_order()) {
+    for (const GateId g : lev.topo_order()) {
       const Gate& gate = nl.gate(g);
       if (!is_combinational(gate.type)) continue;
       fanin_buf.clear();
@@ -74,6 +39,8 @@ class EventSim {
       values_[g] = eval_gate_tern(gate.type, fanin_buf);
     }
   }
+
+  const std::vector<Tern>& values() const { return values_; }
 
   /// One (gate, previous value) undo record.
   using Trail = std::vector<std::pair<GateId, Tern>>;
@@ -107,16 +74,15 @@ class EventSim {
   }
 
   void propagate(Trail& trail) {
-    std::vector<Tern> fanin_buf;
     for (std::uint32_t lvl = 1; lvl < buckets_.size(); ++lvl) {
       auto& bucket = buckets_[lvl];
       for (std::size_t i = 0; i < bucket.size(); ++i) {
         const GateId g = bucket[i];
         queued_[g] = false;
         const Gate& gate = nl_->gate(g);
-        fanin_buf.clear();
-        for (const GateId f : gate.fanins) fanin_buf.push_back(values_[f]);
-        const Tern next = eval_gate_tern(gate.type, fanin_buf);
+        fanin_buf_.clear();
+        for (const GateId f : gate.fanins) fanin_buf_.push_back(values_[f]);
+        const Tern next = eval_gate_tern(gate.type, fanin_buf_);
         if (next != values_[g]) {
           trail.emplace_back(g, values_[g]);
           values_[g] = next;
@@ -132,31 +98,140 @@ class EventSim {
   std::vector<Tern> values_;
   std::vector<bool> queued_;
   std::vector<std::vector<GateId>> buckets_;
+  std::vector<Tern> fanin_buf_;
 };
+
+namespace {
+
+Tern from_bool(bool b) { return b ? Tern::k1 : Tern::k0; }
+
+/// How one solve ended.  kPruned never searched: a learned core covered it.
+enum class Outcome { kSat, kExhausted, kAborted, kDeadEnd, kPruned };
+
+/// Calls and ns per outcome (atpg.podem.<outcome>[_ns]).  With a shared
+/// ConflictCache they depend on the thread schedule, so they stay out of
+/// every byte-identity check.
+struct OutcomeCounters {
+  obs::Counter* calls;
+  obs::Counter* ns;
+};
+
+OutcomeCounters outcome_counters(Outcome o) {
+  static const std::array<OutcomeCounters, 5> counters = [] {
+    auto& reg = obs::MetricsRegistry::instance();
+    const auto pair = [&reg](const std::string& name) {
+      return OutcomeCounters{&reg.register_counter(name),
+                             &reg.register_counter(name + "_ns")};
+    };
+    return std::array<OutcomeCounters, 5>{
+        pair("atpg.podem.sat"), pair("atpg.podem.exhausted"),
+        pair("atpg.podem.aborted"), pair("atpg.podem.dead_end"),
+        pair("atpg.podem.pruned")};
+  }();
+  return counters[static_cast<std::size_t>(o)];
+}
+
+obs::Counter& learn_ns_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().register_counter(
+      "atpg.conflict.learn_ns");
+  return c;
+}
+
+/// Backtrack budget of a refinement search (see Podem::learn).
+constexpr std::size_t kRefineBacktracks = 100;
+
+/// Status of an objective set under the current simulation values.
+enum class Status { kSatisfied, kConflict, kOpen };
+
+/// On kConflict, `*conflict` is the index of the first objective whose
+/// definite value contradicts it.
+Status check(std::span<const Objective> objectives,
+             const std::vector<Tern>& values, const Objective** first_open,
+             std::size_t* conflict) {
+  Status st = Status::kSatisfied;
+  *first_open = nullptr;
+  for (std::size_t i = 0; i < objectives.size(); ++i) {
+    const Objective& obj = objectives[i];
+    const Tern v = values[obj.gate];
+    if (v == Tern::kX) {
+      if (*first_open == nullptr) *first_open = &obj;
+      st = Status::kOpen;
+    } else if ((v == Tern::k1) != obj.value) {
+      *conflict = i;
+      return Status::kConflict;
+    }
+  }
+  return st;
+}
+
+/// Sorted, duplicate-free literals of `objectives` plus the pins.
+std::vector<Literal> query_literals(std::span<const Objective> objectives,
+                                    std::span<const Tern> pins,
+                                    const Netlist& nl) {
+  std::vector<Literal> lits;
+  lits.reserve(objectives.size() + 1);
+  for (const Objective& obj : objectives) lits.push_back(to_literal(obj));
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    if (pins[i] != Tern::kX) {
+      lits.push_back(to_literal(Objective{nl.inputs()[i], pins[i] == Tern::k1}));
+    }
+  }
+  std::sort(lits.begin(), lits.end());
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  return lits;
+}
 
 }  // namespace
 
-std::optional<PodemResult> Podem::solve(
-    std::span<const Objective> objectives, std::size_t max_backtracks,
-    std::span<const Tern> pre_assigned) const {
-  const Netlist& nl = *nl_;
-  for (const Objective& obj : objectives) {
-    if (obj.gate >= nl.gate_count()) {
-      throw std::invalid_argument("Podem: objective gate out of range");
-    }
-  }
-  std::vector<Tern> pi(nl.inputs().size(), Tern::kX);
-  if (!pre_assigned.empty()) {
-    if (pre_assigned.size() != pi.size()) {
-      throw std::invalid_argument("Podem: pre_assigned size mismatch");
-    }
-    pi.assign(pre_assigned.begin(), pre_assigned.end());
-  }
-
-  EventSim esim(nl, *lev_);
-  esim.reset(pi);
-  EventSim::Trail trail;
+struct Podem::Search {
+  Outcome outcome = Outcome::kExhausted;
+  std::vector<Tern> pi;
   std::size_t backtracks = 0;
+  /// Per objective: 1 when it was the conflict at some leaf.
+  std::vector<char> conflicted;
+};
+
+Podem::Podem(const Netlist& nl, const netlist::Levelization& lev,
+             ConflictCache* conflicts)
+    : nl_(&nl),
+      lev_(&lev),
+      conflicts_(conflicts),
+      esim_(std::make_unique<EventSim>(nl, lev)) {
+  if (conflicts != nullptr && conflicts->gate_count() != nl.gate_count()) {
+    throw std::invalid_argument("Podem: ConflictCache built for another netlist");
+  }
+  input_index_.assign(nl.gate_count(), -1);
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+    input_index_[nl.inputs()[i]] = static_cast<std::int32_t>(i);
+  }
+}
+
+Podem::~Podem() = default;
+
+Podem::Search Podem::search(std::span<const Objective> objectives,
+                            std::span<const Tern> pins,
+                            std::size_t max_backtracks) const {
+  const Netlist& nl = *nl_;
+  EventSim& esim = *esim_;
+  Search s;
+  s.pi.assign(nl.inputs().size(), Tern::kX);
+  s.conflicted.assign(objectives.size(), 0);
+  std::vector<Tern>& pi = s.pi;
+  bool aborted = false;
+  bool dead_end = false;
+
+  EventSim::Trail trail;
+  // Whatever happens, hand the simulator back at its all-X baseline.
+  struct Restore {
+    EventSim& esim;
+    EventSim::Trail& trail;
+    ~Restore() { esim.undo(trail, 0); }
+  } restore{esim, trail};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    if (pins[i] == Tern::kX) continue;
+    pi[i] = pins[i];
+    esim.assign(nl.inputs()[i], pins[i], trail);
+  }
 
   // Backtrace an open objective through X-valued gates to an unassigned PI,
   // returning (pi position, value to try).
@@ -244,10 +319,12 @@ std::optional<PodemResult> Podem::solve(
   };
 
   // Depth-first decision search on PIs with event-driven implication.
-  const auto search = [&](auto&& self) -> bool {
+  const auto dfs = [&](auto&& self) -> bool {
     const Objective* open = nullptr;
-    switch (check(objectives, esim.values(), &open)) {
+    std::size_t conflict = 0;
+    switch (check(objectives, esim.values(), &open, &conflict)) {
       case Status::kConflict:
+        s.conflicted[conflict] = 1;
         return false;
       case Status::kSatisfied:
         return true;
@@ -255,7 +332,10 @@ std::optional<PodemResult> Podem::solve(
         break;
     }
     const auto decision = backtrace(*open);
-    if (!decision) return false;
+    if (!decision) {
+      dead_end = true;
+      return false;
+    }
     const auto [pos, first_try] = *decision;
     const GateId pi_gate = nl.inputs()[pos];
     for (const bool val : {first_try, !first_try}) {
@@ -265,15 +345,101 @@ std::optional<PodemResult> Podem::solve(
       if (self(self)) return true;
       esim.undo(trail, mark);
       pi[pos] = Tern::kX;
-      if (++backtracks > max_backtracks) return false;
+      if (++s.backtracks > max_backtracks) {
+        aborted = true;
+        return false;
+      }
     }
     return false;
   };
 
-  if (!search(search)) return std::nullopt;
+  if (dfs(dfs)) {
+    s.outcome = Outcome::kSat;
+  } else if (aborted) {
+    s.outcome = Outcome::kAborted;
+  } else if (dead_end) {
+    s.outcome = Outcome::kDeadEnd;
+  } else {
+    s.outcome = Outcome::kExhausted;
+  }
+  return s;
+}
+
+void Podem::learn(std::span<const Objective> objectives, const Search& first,
+                  std::span<const Tern> pins,
+                  std::size_t max_backtracks) const {
+  const obs::ScopedNsTimer timer(learn_ns_counter());
+  // Every full PI assignment that agrees with the pins extends one leaf of
+  // an exhausted search, and at that leaf some objective marked in
+  // `conflicted` already holds the wrong definite value: those objectives
+  // plus the pins are unsatisfiable on their own.  An aborted search
+  // proves nothing, so its marked objectives plus pins are only a
+  // candidate until a search of the candidate alone is exhausted.
+  std::vector<Objective> core;
+  for (std::size_t i = 0; i < objectives.size(); ++i) {
+    if (first.conflicted[i] != 0) core.push_back(objectives[i]);
+  }
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    if (pins[i] != Tern::kX) {
+      core.push_back(Objective{nl_->inputs()[i], pins[i] == Tern::k1});
+    }
+  }
+  bool proven = first.outcome == Outcome::kExhausted;
+  // Refinement: the same argument on a search of the core alone, with the
+  // pins as its last objectives, so a pin that no leaf needs drops out.
+  // A search of a few objectives is focused where the call's own search
+  // was not, so a smaller budget proves most provable candidates; on the
+  // s9234 stand-in the call's full budget cost more learning time than
+  // the aborted calls it additionally pruned saved.
+  const std::size_t budget = std::min(max_backtracks, kRefineBacktracks);
+  for (;;) {
+    const Search s = search(core, {}, budget);
+    if (s.outcome != Outcome::kExhausted) break;
+    proven = true;
+    std::vector<Objective> next;
+    for (std::size_t i = 0; i < core.size(); ++i) {
+      if (s.conflicted[i] != 0) next.push_back(core[i]);
+    }
+    if (next.size() >= core.size()) break;
+    core = std::move(next);
+  }
+  if (proven) conflicts_->add(query_literals(core, {}, *nl_));
+}
+
+std::optional<PodemResult> Podem::solve(
+    std::span<const Objective> objectives, std::size_t max_backtracks,
+    std::span<const Tern> pre_assigned) const {
+  const Netlist& nl = *nl_;
+  for (const Objective& obj : objectives) {
+    if (obj.gate >= nl.gate_count()) {
+      throw std::invalid_argument("Podem: objective gate out of range");
+    }
+  }
+  if (!pre_assigned.empty() && pre_assigned.size() != nl.inputs().size()) {
+    throw std::invalid_argument("Podem: pre_assigned size mismatch");
+  }
+
+  const std::uint64_t t0 = obs::now_ns();
+  const auto count = [t0](Outcome o) {
+    const OutcomeCounters c = outcome_counters(o);
+    c.calls->add(1);
+    c.ns->add(obs::now_ns() - t0);
+  };
+  if (conflicts_ != nullptr &&
+      conflicts_->covers(query_literals(objectives, pre_assigned, nl))) {
+    count(Outcome::kPruned);
+    return std::nullopt;
+  }
+  Search s = search(objectives, pre_assigned, max_backtracks);
+  count(s.outcome);
+  if (conflicts_ != nullptr && (s.outcome == Outcome::kExhausted ||
+                                s.outcome == Outcome::kAborted)) {
+    learn(objectives, s, pre_assigned, max_backtracks);
+  }
+  if (s.outcome != Outcome::kSat) return std::nullopt;
   PodemResult result;
-  result.pi_values = std::move(pi);
-  result.backtracks = backtracks;
+  result.pi_values = std::move(s.pi);
+  result.backtracks = s.backtracks;
   return result;
 }
 

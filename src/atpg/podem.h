@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,24 +33,64 @@ struct PodemResult {
   std::size_t backtracks = 0;
 };
 
+class ConflictCache;
+class EventSim;
+
 class Podem {
  public:
-  Podem(const netlist::Netlist& nl, const netlist::Levelization& lev);
+  /// `conflicts` (optional, built for `nl`) prunes calls a learned core
+  /// proves unsatisfiable and learns from this solver's proofs.
+  Podem(const netlist::Netlist& nl, const netlist::Levelization& lev,
+        ConflictCache* conflicts = nullptr);
+  ~Podem();
 
-  /// Finds PI values satisfying every objective simultaneously, or
-  /// std::nullopt when the budget is exhausted / the objectives are
-  /// unsatisfiable within it.  `pre_assigned` (optional, indexed like
-  /// inputs()) pins some PIs before the search - used to couple the two
-  /// vectors of a delay test.
+  /// Finds PI values satisfying every objective simultaneously.
+  /// `pre_assigned` (optional, indexed like inputs()) pins some PIs before
+  /// the search - used to couple the two vectors of a delay test.
+  ///
+  /// std::nullopt has three causes:
+  ///   - exhausted: the search tried both values of every decision it
+  ///     made.  This is a proof that no PI assignment (with the pins)
+  ///     satisfies the objectives;
+  ///   - budget abort: more than `max_backtracks` backtracks;
+  ///   - dead end: some objective could not be backtraced to a free PI
+  ///     (e.g. it sits on a constant gate, which the simulation leaves at
+  ///     X), so part of the search space was skipped.
+  /// Only an exhausted search is a proof, and only proofs feed the
+  /// ConflictCache: the conflicts of an aborted search become a core only
+  /// after a search of them alone is exhausted.  A call some learned core
+  /// covers returns std::nullopt without searching, which is what the
+  /// search would have returned.
+  ///
+  /// A Podem owns the event simulator it searches with (kept at its all-X
+  /// baseline between calls), so solve() mutates it: never share one
+  /// Podem across threads.  A ConflictCache may be shared.
   std::optional<PodemResult> solve(
       std::span<const Objective> objectives, std::size_t max_backtracks = 2000,
       std::span<const logicsim::Tern> pre_assigned = {}) const;
 
  private:
+  struct Search;
+
+  /// One PODEM search from the all-X baseline with `pins` applied; returns
+  /// the simulator to the baseline.
+  Search search(std::span<const Objective> objectives,
+                std::span<const logicsim::Tern> pins,
+                std::size_t max_backtracks) const;
+
+  /// Learns a core from an exhausted or aborted search: the objectives
+  /// that conflicted at its leaves plus the pins, refined by re-solving
+  /// the core alone (pins last) until it stops shrinking.  It is recorded
+  /// only once some exhausted search proves it.
+  void learn(std::span<const Objective> objectives, const Search& first,
+             std::span<const logicsim::Tern> pins,
+             std::size_t max_backtracks) const;
+
   const netlist::Netlist* nl_;
   const netlist::Levelization* lev_;
-  logicsim::TernarySimulator sim_;
   std::vector<std::int32_t> input_index_;  ///< gate id -> PI position or -1
+  ConflictCache* conflicts_;
+  std::unique_ptr<EventSim> esim_;
 };
 
 }  // namespace sddd::atpg

@@ -215,7 +215,8 @@ ExperimentSetup::ExperimentSetup(const Netlist& nl_in,
           nl_in, stats::RandomVariable::Normal(
                      size_model.marginal_mean(),
                      size_model.marginal_mean() / 6.0))),
-      injector(location_model, size_model) {
+      injector(location_model, size_model),
+      conflicts(nl_in) {
   if (known_clk.has_value()) {
     clk = *known_clk;
   } else {
@@ -231,7 +232,7 @@ ExperimentSetup::ExperimentSetup(const Netlist& nl_in,
       const auto cal_patterns = [&] {
         const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
         return atpg::generate_diagnostic_patterns(
-            model, lev, site, config.pattern_config, cal_rng);
+            model, lev, site, config.pattern_config, cal_rng, &conflicts);
       }();
       const double d =
           atpg::site_best_nominal_delay(model, lev, cal_patterns, site);
@@ -291,7 +292,7 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
       const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
       patterns = atpg::generate_diagnostic_patterns(
           S.model, S.lev, record.chip.defect_arc, config.pattern_config,
-          trial_rng);
+          trial_rng, &S.conflicts);
     }
     if (patterns.empty()) continue;
     if (config.site_bias == SiteBias::kDetectable) {
@@ -558,7 +559,9 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   // Per-phase attribution: wall splits from the three local timers, CPU
   // splits (thread-seconds) and work volumes from metric deltas across the
   // experiment.  Deterministic work => deterministic counters; the ns
-  // figures vary with the machine but the counters do not.
+  // figures vary with the machine but the counters do not.  The PODEM
+  // outcome and conflict-cache counts are the exception: which thread
+  // learns a core first decides which calls it prunes.
   const obs::MetricsSnapshot snap_end =
       obs::MetricsRegistry::instance().snapshot();
   PhaseBreakdown& ph = result.phases;
@@ -596,6 +599,23 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
                                                      "diag.phi_evals");
   ph.pool_tasks =
       obs::MetricsSnapshot::counter_delta(snap_start, snap_end, "pool.tasks");
+  const auto podem = [&](const std::string& name) {
+    return PhaseBreakdown::PodemOutcome{
+        obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name),
+        obs::MetricsSnapshot::delta_ns_to_seconds(snap_start, snap_end,
+                                                  name + "_ns")};
+  };
+  ph.podem_sat = podem("atpg.podem.sat");
+  ph.podem_exhausted = podem("atpg.podem.exhausted");
+  ph.podem_aborted = podem("atpg.podem.aborted");
+  ph.podem_dead_end = podem("atpg.podem.dead_end");
+  ph.podem_pruned = podem("atpg.podem.pruned");
+  ph.conflict_cores = obs::MetricsSnapshot::counter_delta(
+      snap_start, snap_end, "atpg.conflict.cores");
+  ph.conflict_bytes = obs::MetricsSnapshot::counter_delta(
+      snap_start, snap_end, "atpg.conflict.bytes");
+  ph.conflict_learn_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
+      snap_start, snap_end, "atpg.conflict.learn_ns");
 
   SDDD_LOG_INFO(
       "%s: %zu/%zu chips diagnosable, clk=%.3f, %.2fs wall "

@@ -187,6 +187,24 @@ struct PhaseBreakdown {
   std::uint64_t sig_cache_hits = 0;
   std::uint64_t sig_cache_misses = 0;
   std::uint64_t sig_cache_bytes = 0;
+
+  /// PODEM calls and their CPU seconds by outcome (atpg.podem.*; see
+  /// atpg/podem.h), and what the shared ConflictCache learned
+  /// (atpg.conflict.*).  A core learned by one thread prunes calls on
+  /// another, so these depend on the thread schedule: they are reported
+  /// here and in the metrics, never in the result JSON or the journal.
+  struct PodemOutcome {
+    std::uint64_t calls = 0;
+    double cpu_seconds = 0.0;
+  };
+  PodemOutcome podem_sat;
+  PodemOutcome podem_exhausted;
+  PodemOutcome podem_aborted;
+  PodemOutcome podem_dead_end;
+  PodemOutcome podem_pruned;
+  std::uint64_t conflict_cores = 0;
+  std::uint64_t conflict_bytes = 0;
+  double conflict_learn_cpu_seconds = 0.0;
 };
 
 struct ExperimentResult {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "atpg/conflict_cache.h"
 #include "defect/defect_model.h"
 #include "defect/injector.h"
 #include "eval/experiment.h"
@@ -25,7 +26,10 @@
 
 namespace sddd::eval {
 
-/// Every member is a pure function of (netlist, config, known_clk).
+/// Every member but `conflicts` is a pure function of (netlist, config,
+/// known_clk).  What `conflicts` holds depends on the thread schedule, but
+/// no output does: a core only prunes PODEM calls that return no test
+/// anyway (atpg/conflict_cache.h).
 struct ExperimentSetup {
   /// Builds the world for `nl` at `config`.  clk is calibrated by the
   /// per-site achievable-delay sweep (ExperimentConfig::clk_site_quantile)
@@ -61,6 +65,9 @@ struct ExperimentSetup {
   defect::DefectSizeModel size_model;
   defect::SegmentDefectModel location_model;
   defect::DefectInjector injector;
+  /// Learned false-path conflicts, shared by the clk calibration, every
+  /// trial and thread, explain_trial and the store's pattern sweep.
+  mutable atpg::ConflictCache conflicts;
   double clk = 0.0;
   double calibration_seconds = 0.0;  ///< 0 when clk was given
   // Detectability window for the injection gate (SiteBias::kDetectable).

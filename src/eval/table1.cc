@@ -159,7 +159,28 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
        << ",\n                             \"sig_cache_hits\": "
        << ph.sig_cache_hits
        << ", \"sig_cache_misses\": " << ph.sig_cache_misses
-       << ", \"sig_cache_bytes\": " << ph.sig_cache_bytes << "}},\n";
+       << ", \"sig_cache_bytes\": " << ph.sig_cache_bytes << "},\n";
+    // PODEM outcomes and the conflict cache depend on the thread schedule
+    // (see PhaseBreakdown), unlike everything above.
+    const auto outcome = [&os](const char* name,
+                               const PhaseBreakdown::PodemOutcome& o) {
+      os << "\"" << name << "\": {\"calls\": " << o.calls
+         << ", \"cpu_s\": " << o.cpu_seconds << "}";
+    };
+    os << "                \"podem\": {";
+    outcome("sat", ph.podem_sat);
+    os << ", ";
+    outcome("exhausted", ph.podem_exhausted);
+    os << ",\n                          ";
+    outcome("aborted", ph.podem_aborted);
+    os << ", ";
+    outcome("dead_end", ph.podem_dead_end);
+    os << ",\n                          ";
+    outcome("pruned", ph.podem_pruned);
+    os << "},\n"
+       << "                \"conflict\": {\"cores\": " << ph.conflict_cores
+       << ", \"bytes\": " << ph.conflict_bytes
+       << ", \"learn_cpu_s\": " << ph.conflict_learn_cpu_seconds << "}},\n";
     // Wilson 95% intervals on the top-1 success rates: each rate is a
     // binomial proportion over the diagnosable trials, so without these
     // a 3/4-vs-4/4 difference reads as a 25-point gap.

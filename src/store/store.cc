@@ -176,7 +176,7 @@ std::vector<logicsim::PatternPair> sweep_patterns(
         pat_rng.below(static_cast<std::uint32_t>(world.nl.arc_count())));
     for (auto& p : atpg::generate_diagnostic_patterns(
              world.model, world.lev, site, world.config.pattern_config,
-             pat_rng)) {
+             pat_rng, &world.conflicts)) {
       if (!seen.emplace(p.v1, p.v2).second) continue;
       patterns.push_back(std::move(p));
       if (patterns.size() >= config.max_patterns) break;

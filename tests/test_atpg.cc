@@ -1,8 +1,11 @@
-// Unit tests for the ATPG substrate: PODEM objective satisfaction, path
-// sensitization (non-robust and robust), GA fill and the diagnostic
-// pattern-set generator.
+// Unit tests for the ATPG substrate: PODEM objective satisfaction, the
+// learned-conflict cache, path sensitization (non-robust and robust), GA
+// fill and the diagnostic pattern-set generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "atpg/conflict_cache.h"
 #include "atpg/diag_patterns.h"
 #include "atpg/ga_fill.h"
 #include "atpg/pdf_atpg.h"
@@ -13,6 +16,7 @@
 #include "netlist/iscas_catalog.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
+#include "obs/metrics.h"
 #include "paths/path_enum.h"
 #include "paths/transition_graph.h"
 #include "timing/celllib.h"
@@ -119,6 +123,246 @@ struct AtpgFixture {
         lev(nl),
         model(nl, lib) {}
 };
+
+std::uint64_t counter(const char* name) {
+  const obs::Counter* c = obs::MetricsRegistry::instance().find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+/// Sorted literals of objectives plus pins, as Podem queries its cache.
+std::vector<Literal> literals_of(const Netlist& nl,
+                                 const std::vector<Objective>& objectives,
+                                 const std::vector<Tern>& pins) {
+  std::vector<Literal> lits;
+  for (const Objective& o : objectives) lits.push_back(to_literal(o));
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    if (pins[i] != Tern::kX) {
+      lits.push_back(to_literal({nl.inputs()[i], pins[i] == Tern::k1}));
+    }
+  }
+  std::sort(lits.begin(), lits.end());
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  return lits;
+}
+
+/// True when a cache-free search of `core` alone runs to exhaustion: the
+/// core re-proves unsatisfiable on its own.
+bool reproves(const Netlist& nl, const Levelization& lev,
+              const std::vector<Objective>& core) {
+  const Podem plain(nl, lev);
+  const std::uint64_t before = counter("atpg.podem.exhausted");
+  return !plain.solve(core, 100000).has_value() &&
+         counter("atpg.podem.exhausted") == before + 1;
+}
+
+// y = AND(a, b) and w = NOR(a, b) cannot both be 1; the first decision
+// (a = 1) conflicts, so refuting it takes backtracks.
+struct AndNor {
+  Netlist nl{"and_nor"};
+  GateId a, b, y, w;
+  AndNor() {
+    a = nl.add_input("a");
+    b = nl.add_input("b");
+    y = nl.add_gate(CellType::kAnd, "y", {a, b});
+    w = nl.add_gate(CellType::kNor, "w", {a, b});
+    nl.add_output(y);
+    nl.add_output(w);
+    nl.freeze();
+  }
+};
+
+TEST(ConflictCache, ExhaustedSearchLearnsAndPrunes) {
+  AndNor c;
+  const Levelization lev(c.nl);
+  ConflictCache cache(c.nl);
+  const Podem podem(c.nl, lev, &cache);
+  const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
+  EXPECT_FALSE(podem.solve(obj).has_value());
+  EXPECT_EQ(cache.stats().cores, 1u);
+  EXPECT_GT(cache.stats().bytes, 0u);
+  // The same objectives, or any superset, are now answered unsearched.
+  const std::uint64_t pruned = counter("atpg.podem.pruned");
+  EXPECT_FALSE(podem.solve(obj).has_value());
+  std::vector<Tern> pins(c.nl.inputs().size(), Tern::kX);
+  pins[1] = Tern::k0;
+  EXPECT_FALSE(podem.solve(obj, 2000, pins).has_value());
+  EXPECT_EQ(counter("atpg.podem.pruned"), pruned + 2);
+  // A satisfiable subset is still solved.
+  EXPECT_TRUE(podem.solve(std::vector<Objective>{{c.y, true}}).has_value());
+}
+
+TEST(ConflictCache, AbortAndDeadEndLearnNothing) {
+  AndNor c;
+  const Levelization lev(c.nl);
+  ConflictCache cache(c.nl);
+  const Podem podem(c.nl, lev, &cache);
+  // The unsatisfiable pair ExhaustedSearchLearnsAndPrunes learns from: at
+  // budget 0 the search aborts, and refinement never searches harder than
+  // the call, so its candidate stays unproven.
+  const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
+  const std::uint64_t aborted = counter("atpg.podem.aborted");
+  EXPECT_FALSE(podem.solve(obj, 0).has_value());
+  EXPECT_EQ(counter("atpg.podem.aborted"), aborted + 1);
+  EXPECT_EQ(cache.stats().cores, 0u);
+
+  // An objective on a constant gate: the simulation leaves it at X, so
+  // the backtrace dead-ends although y = 1 alone is satisfiable.
+  Netlist nl("const");
+  const auto a = nl.add_input("a");
+  const auto b = nl.add_input("b");
+  const auto k = nl.add_gate(CellType::kConst0, "k", {});
+  const auto y = nl.add_gate(CellType::kAnd, "y", {a, b});
+  const auto z = nl.add_gate(CellType::kOr, "z", {y, k});
+  nl.add_output(z);
+  nl.freeze();
+  const Levelization lev2(nl);
+  ConflictCache cache2(nl);
+  const Podem podem2(nl, lev2, &cache2);
+  const std::uint64_t dead = counter("atpg.podem.dead_end");
+  EXPECT_FALSE(
+      podem2.solve(std::vector<Objective>{{y, true}, {k, false}}).has_value());
+  EXPECT_EQ(counter("atpg.podem.dead_end"), dead + 1);
+  EXPECT_EQ(cache2.stats().cores, 0u);
+}
+
+TEST(ConflictCache, LearnedCoresAreSubsetsThatReprove) {
+  netlist::SynthSpec spec;
+  spec.n_inputs = 12;
+  spec.n_outputs = 8;
+  spec.n_gates = 150;
+  spec.depth = 9;
+  spec.seed = 41;
+  const Netlist nl = netlist::synthesize(spec);
+  const Levelization lev(nl);
+  stats::Rng rng(43);
+  std::size_t learned = 0;
+  for (int t = 0; t < 200; ++t) {
+    std::vector<Objective> obj;
+    const std::size_t count = 2 + rng.below(5);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto g = static_cast<GateId>(
+          rng.below(static_cast<std::uint32_t>(nl.gate_count())));
+      obj.push_back({g, rng.bernoulli(0.5)});
+    }
+    std::vector<Tern> pins(nl.inputs().size(), Tern::kX);
+    pins[rng.below(static_cast<std::uint32_t>(pins.size()))] =
+        rng.bernoulli(0.5) ? Tern::k1 : Tern::k0;
+    ConflictCache cache(nl);
+    const Podem podem(nl, lev, &cache);
+    (void)podem.solve(obj, 300, pins);
+    const auto query = literals_of(nl, obj, pins);
+    for (const auto& core : cache.cores()) {
+      ++learned;
+      for (const Objective& o : core) {
+        EXPECT_TRUE(std::binary_search(query.begin(), query.end(),
+                                       to_literal(o)))
+            << "core literal outside the call's objectives and pins";
+      }
+      EXPECT_TRUE(reproves(nl, lev, core));
+    }
+  }
+  EXPECT_GT(learned, 20u);
+}
+
+TEST(ConflictCache, CapStopsLearningNotPruning) {
+  AtpgFixture f;
+  ConflictCache cache(f.nl);
+  const auto n_lits = static_cast<std::uint32_t>(2 * f.nl.gate_count());
+  // Random 64-literal cores: distinct ones never cover each other.
+  stats::Rng rng(5);
+  const auto random_core = [&] {
+    std::vector<Literal> core;
+    while (core.size() < 64) {
+      const Literal l = rng.below(n_lits);
+      if (std::find(core.begin(), core.end(), l) == core.end()) {
+        core.push_back(l);
+      }
+    }
+    std::sort(core.begin(), core.end());
+    return core;
+  };
+  const std::vector<Literal> first = random_core();
+  ASSERT_TRUE(cache.add(first));
+  std::size_t tries = 0;
+  while (cache.add(random_core())) ASSERT_LT(++tries, 100000u);
+  EXPECT_LE(cache.stats().bytes, ConflictCache::kMaxBytes);
+  const std::size_t cores = cache.stats().cores;
+  EXPECT_FALSE(cache.add(random_core()));
+  EXPECT_EQ(cache.stats().cores, cores);
+  EXPECT_TRUE(cache.covers(first));
+}
+
+class ConflictEquivalence : public ::testing::TestWithParam<const char*> {};
+
+// Every PODEM call of sensitization - each candidate path and polarity,
+// v2 and v1, non-robust and robust - answers the same with a cache warmed
+// by earlier sites as without one.
+TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  ConflictCache cache(nl);
+  const PathDelayAtpg cached(nl, lev, &cache);
+  const PathDelayAtpg plain(nl, lev);
+  const std::uint64_t pruned0 = counter("atpg.podem.pruned");
+  std::size_t calls = 0;
+  const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 24));
+  for (ArcId site = 0; site < nl.arc_count(); site += step) {
+    for (const auto& path : paths::k_heaviest_paths_through(
+             nl, lev, model.means(), site, 32)) {
+      for (const bool rising : {true, false}) {
+        for (const bool robust : {false, true}) {
+          const auto a = cached.sensitize(path, rising, robust, 300);
+          const auto b = plain.sensitize(path, rising, robust, 300);
+          ++calls;
+          ASSERT_EQ(a.has_value(), b.has_value()) << "site " << site;
+          if (a) {
+            EXPECT_EQ(a->v1, b->v1);
+            EXPECT_EQ(a->v2, b->v2);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 100u);
+  EXPECT_GT(counter("atpg.podem.pruned"), pruned0);
+  EXPECT_GT(cache.stats().cores, 0u);
+  for (const auto& core : cache.cores()) EXPECT_TRUE(reproves(nl, lev, core));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, ConflictEquivalence, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
+
+TEST(ConflictCache, PatternSetsAndRngMatchUncached) {
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile("s1196"), 0.15, 7);
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  ConflictCache cache(nl);
+  const DiagnosticPatternConfig config;
+  stats::Rng with(31);
+  stats::Rng without(31);
+  for (ArcId site = 0; site < nl.arc_count(); site += 7) {
+    const auto a =
+        generate_diagnostic_patterns(model, lev, site, config, with, &cache);
+    const auto b = generate_diagnostic_patterns(model, lev, site, config,
+                                                without);
+    ASSERT_EQ(a.size(), b.size()) << "site " << site;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].v1, b[i].v1);
+      EXPECT_EQ(a[i].v2, b[i].v2);
+    }
+  }
+  EXPECT_EQ(with.next(), without.next());
+  EXPECT_GT(cache.stats().cores, 0u);
+}
+
 
 TEST(PathDelayAtpg, GeneratedTestsLaunchTransitions) {
   AtpgFixture f;

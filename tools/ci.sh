@@ -16,7 +16,8 @@
 #      tests/data/golden/s1196_result.json byte for byte, the explain JSON
 #      must hash to tests/data/golden/s1196_explain.sha256, and the
 #      diagnose's metrics must show the diag.kernel.* / dict.sig_cache.*
-#      counters actually firing;
+#      counters and the ATPG conflict cache (atpg.podem.pruned,
+#      atpg.conflict.cores) actually firing;
 #   6. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
 #      groups, per-suspect coverage, coverage ratio in [0,1]), and the
@@ -162,15 +163,19 @@ with open(sys.argv[1], "rb") as f:
 with open(sys.argv[2]) as f:
     want = f.read().strip()
 assert got == want, f"explain JSON sha256 {got} != golden {want}"
-# The diagnose must actually have scored through the kernel and the cache.
+# The diagnose must actually have scored through the kernel and the cache,
+# and its ATPG must have pruned PODEM calls with learned conflicts.
 with open(sys.argv[3]) as f:
     counters = json.load(f)["counters"]
 for key in ("diag.kernel.patterns", "diag.kernel.suspects",
-            "dict.sig_cache.misses", "dict.sig_cache.bytes"):
+            "dict.sig_cache.misses", "dict.sig_cache.bytes",
+            "atpg.podem.pruned", "atpg.conflict.cores"):
     assert counters.get(key, 0) > 0, f"counter {key} missing or zero"
 print(f"golden bytes ok: result + explain identical, "
       f"{counters['diag.kernel.suspects']} kernel phi columns, "
-      f"{counters['dict.sig_cache.misses']} cache builds")
+      f"{counters['dict.sig_cache.misses']} cache builds, "
+      f"{counters['atpg.podem.pruned']} PODEM calls pruned by "
+      f"{counters['atpg.conflict.cores']} learned cores")
 EOF
 
 echo "== [6/14] diagnosability gate (static analysis + suspect collapse) =="
