@@ -4,11 +4,11 @@
 #include <stdexcept>
 
 #include "logicsim/ternary.h"
-#include "paths/transition_graph.h"
+#include "obs/metrics.h"
+#include "paths/transition_words.h"
 
 namespace sddd::atpg {
 
-using logicsim::Pattern;
 using logicsim::PatternPair;
 using logicsim::Tern;
 using logicsim::TernarySimulator;
@@ -35,12 +35,16 @@ std::vector<std::uint32_t> side_pins(const Gate& gate, std::uint32_t on_pin) {
   return pins;
 }
 
-Pattern fill_pattern(const std::vector<Tern>& tern, stats::Rng& rng) {
-  Pattern p(tern.size());
-  for (std::size_t i = 0; i < tern.size(); ++i) {
-    p[i] = tern[i] == Tern::kX ? rng.bernoulli(0.5) : (tern[i] == Tern::k1);
-  }
-  return p;
+/// atpg.fill.tried counts the fills the one-at-a-time loop would have
+/// tested (through the first that activates); atpg.fill.activated counts
+/// the generate() calls one of them activated.
+void count_fills(std::size_t tried, bool activated) {
+  static obs::Counter& tried_c =
+      obs::MetricsRegistry::instance().register_counter("atpg.fill.tried");
+  static obs::Counter& activated_c =
+      obs::MetricsRegistry::instance().register_counter("atpg.fill.activated");
+  tried_c.add(tried);
+  if (activated) activated_c.add(1);
 }
 
 }  // namespace
@@ -134,41 +138,72 @@ std::optional<PathDelayTest> PathDelayAtpg::generate(
   if (!templates) return std::nullopt;
 
   // --- Fill unconstrained PIs; prefer fills that truly activate the path.
-  PathDelayTest best;
-  best.path = path;
-  best.rising_at_origin = rising_at_origin;
-  best.robust = robust;
-  for (std::size_t attempt = 0; attempt < std::max<std::size_t>(fill_retries, 1);
-       ++attempt) {
-    Pattern v2 = fill_pattern(templates->v2, fill_rng);
-    Pattern v1(v2.size());
-    for (std::size_t i = 0; i < v1.size(); ++i) {
-      const Tern t = templates->v1[i];
-      if (t != Tern::kX) {
-        v1[i] = (t == Tern::k1);
-      } else if (robust) {
-        v1[i] = v2[i];  // quiet side inputs: minimize launch-side activity
-      } else {
-        v1[i] = fill_rng.bernoulli(0.5);
+  // The fills are drawn in the order the one-at-a-time loop draws them,
+  // into lanes of one sweep pair (64 per sweep), with the RNG state saved
+  // after each; the first activating lane wins and the RNG resumes from
+  // the state after its fill, as if no later fill had been drawn.
+  PathDelayTest test;
+  test.path = path;
+  test.rising_at_origin = rising_at_origin;
+  test.robust = robust;
+  const std::size_t n_pi = templates->v2.size();
+  const std::size_t fills = std::max<std::size_t>(fill_retries, 1);
+  paths::TransitionWords words(sim_);
+  std::vector<std::uint64_t> w1(n_pi);
+  std::vector<std::uint64_t> w2(n_pi);
+  std::vector<stats::Rng> after_fill;
+  for (std::size_t first = 0; first < fills; first += 64) {
+    const std::size_t width = std::min<std::size_t>(64, fills - first);
+    std::fill(w1.begin(), w1.end(), 0);
+    std::fill(w2.begin(), w2.end(), 0);
+    after_fill.clear();
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      for (std::size_t i = 0; i < n_pi; ++i) {
+        const Tern t = templates->v2[i];
+        const bool v = t == Tern::kX ? fill_rng.bernoulli(0.5) : t == Tern::k1;
+        w2[i] |= static_cast<std::uint64_t>(v) << lane;
       }
+      for (std::size_t i = 0; i < n_pi; ++i) {
+        const Tern t = templates->v1[i];
+        bool v = false;
+        if (t != Tern::kX) {
+          v = t == Tern::k1;
+        } else if (robust) {
+          // Quiet side inputs: minimize launch-side activity.
+          v = ((w2[i] >> lane) & 1U) != 0;
+        } else {
+          v = fill_rng.bernoulli(0.5);
+        }
+        w1[i] |= static_cast<std::uint64_t>(v) << lane;
+      }
+      after_fill.push_back(fill_rng);
     }
-    PatternPair pattern{std::move(v1), std::move(v2)};
-    const bool ok = activates(path, pattern);
-    if (attempt == 0 || ok) best.pattern = std::move(pattern);
-    if (ok) return best;
+    words.simulate(w1, w2);
+    // Lanes past `width` hold the all-zero pair, which activates nothing.
+    const std::uint64_t activating = words.all_active(path.arcs);
+    if (first == 0) test.pattern = words.pattern(0);
+    if (activating != 0) {
+      const auto lane = static_cast<unsigned>(__builtin_ctzll(activating));
+      test.pattern = words.pattern(lane);
+      test.activates = true;
+      fill_rng = after_fill[lane];
+      count_fills(first + lane + 1, true);
+      return test;
+    }
   }
   // No fill activated the whole path (multi-path sensitization effects);
-  // return the last candidate anyway - the dynamic simulator downstream
-  // will see whatever it truly induces, mirroring the paper's use of
-  // logic-only ATPG.
-  return best;
+  // return the first fill anyway - the dynamic simulator downstream will
+  // see whatever it truly induces, mirroring the paper's use of logic-only
+  // ATPG.
+  count_fills(fills, false);
+  return test;
 }
 
 bool PathDelayAtpg::activates(const Path& path,
                               const PatternPair& pattern) const {
-  const paths::TransitionGraph tg(sim_, *lev_, pattern);
-  return std::all_of(path.arcs.begin(), path.arcs.end(),
-                     [&](ArcId a) { return tg.is_active(a); });
+  paths::TransitionWords words(sim_);
+  words.simulate(std::span<const PatternPair>(&pattern, 1));
+  return (words.all_active(path.arcs) & 1U) != 0;
 }
 
 PatternPair random_pattern_pair(std::size_t n_inputs, stats::Rng& rng) {

@@ -16,7 +16,8 @@
 // simulation downstream decides what the test really exercises.  Leftover
 // unspecified PIs are random-filled (seeded), with optional re-tries until
 // the produced pattern really activates the target path under the
-// transition-mode sensitization semantics, and an optional GA fill (see
+// transition-mode sensitization semantics (the re-tries are tested as lanes
+// of one 64-wide sweep, see generate()), and an optional GA fill (see
 // ga_fill.h) that maximizes the launched path length instead.
 #pragma once
 
@@ -36,6 +37,8 @@ struct PathDelayTest {
   paths::Path path;
   bool rising_at_origin = false;
   bool robust = false;
+  /// True when every arc of `path` is active under `pattern`.
+  bool activates = false;
 };
 
 /// Ternary launch/capture templates for a sensitized path: X positions are
@@ -61,8 +64,12 @@ class PathDelayAtpg {
   /// Generates a test for `path` with the given origin transition, or
   /// nullopt when the sensitization objectives are unsatisfiable within
   /// the backtrack budget.  `fill_rng` fills unconstrained PIs; up to
-  /// `fill_retries` fills are tried, preferring one under which the whole
-  /// path is active in the transition graph.
+  /// `fill_retries` fills are tried, and the first under which the whole
+  /// path is active is returned (`activates` true).  When none activates,
+  /// the first fill is returned (`activates` false).  Either way the
+  /// patterns and `fill_rng`'s final state are those of trying the fills
+  /// one at a time and stopping at the first that activates, although the
+  /// fills are drawn ahead and tested as lanes of one sweep.
   std::optional<PathDelayTest> generate(const paths::Path& path,
                                         bool rising_at_origin, bool robust,
                                         stats::Rng& fill_rng,

@@ -137,6 +137,20 @@ obs::Counter& learn_ns_counter() {
   return c;
 }
 
+/// Learning attempts that proved nothing (an aborted call whose candidate
+/// no refinement search exhausted), and their share of learn_ns.
+obs::Counter& unproven_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().register_counter(
+      "atpg.conflict.unproven");
+  return c;
+}
+
+obs::Counter& unproven_ns_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().register_counter(
+      "atpg.conflict.unproven_ns");
+  return c;
+}
+
 /// Backtrack budget of a refinement search (see Podem::learn).
 constexpr std::size_t kRefineBacktracks = 100;
 
@@ -368,7 +382,7 @@ Podem::Search Podem::search(std::span<const Objective> objectives,
 void Podem::learn(std::span<const Objective> objectives, const Search& first,
                   std::span<const Tern> pins,
                   std::size_t max_backtracks) const {
-  const obs::ScopedNsTimer timer(learn_ns_counter());
+  const std::uint64_t t0 = obs::now_ns();
   // Every full PI assignment that agrees with the pins extends one leaf of
   // an exhausted search, and at that leaf some objective marked in
   // `conflicted` already holds the wrong definite value: those objectives
@@ -404,6 +418,12 @@ void Podem::learn(std::span<const Objective> objectives, const Search& first,
     core = std::move(next);
   }
   if (proven) conflicts_->add(query_literals(core, {}, *nl_));
+  const std::uint64_t ns = obs::now_ns() - t0;
+  learn_ns_counter().add(ns);
+  if (!proven) {
+    unproven_counter().add(1);
+    unproven_ns_counter().add(ns);
+  }
 }
 
 std::optional<PodemResult> Podem::solve(

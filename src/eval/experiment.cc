@@ -150,6 +150,32 @@ obs::Counter& atpg_gen_ns_counter() {
   return c;
 }
 
+/// Per-draw outcomes of the injection loop (defect.*): every draw, and the
+/// draws rejected for an empty pattern set, a detectability verdict below
+/// or above the window, no observed failure, or a failure the defect does
+/// not cause.  The accepted draws are draws minus the rejections.
+struct DrawCounters {
+  obs::Counter& draws;
+  obs::Counter& reject_empty;
+  obs::Counter& reject_lo;
+  obs::Counter& reject_hi;
+  obs::Counter& reject_nofail;
+  obs::Counter& reject_nocontrib;
+};
+
+DrawCounters& draw_counters() {
+  static DrawCounters c = [] {
+    auto& reg = obs::MetricsRegistry::instance();
+    return DrawCounters{reg.register_counter("defect.draws"),
+                        reg.register_counter("defect.reject_empty"),
+                        reg.register_counter("defect.reject_lo"),
+                        reg.register_counter("defect.reject_hi"),
+                        reg.register_counter("defect.reject_nofail"),
+                        reg.register_counter("defect.reject_nocontrib")};
+  }();
+  return c;
+}
+
 obs::Counter& mc_observe_ns_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().register_counter("mc.observe_ns");
@@ -284,9 +310,11 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
   // Redraw (site, size, chip) until the chip observably fails.
   std::vector<logicsim::PatternPair> patterns;
   BehaviorMatrix B(nl.outputs().size(), 0);
+  DrawCounters& draw = draw_counters();
   for (std::size_t attempt = 0; attempt < config.max_injection_retries;
        ++attempt) {
     ++record.injection_attempts;
+    draw.draws.add(1);
     record.chip = S.injector.draw(S.instance_samples, trial_rng);
     {
       const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
@@ -294,11 +322,21 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
           S.model, S.lev, record.chip.defect_arc, config.pattern_config,
           trial_rng, &S.conflicts);
     }
-    if (patterns.empty()) continue;
+    if (patterns.empty()) {
+      draw.reject_empty.add(1);
+      continue;
+    }
     if (config.site_bias == SiteBias::kDetectable) {
       const double d = atpg::site_best_nominal_delay(
           S.model, S.lev, patterns, record.chip.defect_arc);
-      if (d < S.detect_lo || d > S.detect_hi) continue;
+      if (d < S.detect_lo) {
+        draw.reject_lo.add(1);
+        continue;
+      }
+      if (d > S.detect_hi) {
+        draw.reject_hi.add(1);
+        continue;
+      }
     }
     // Assemble the chip's defect list: the primary (pattern-targeted)
     // one, plus extras when the single-defect assumption is relaxed.
@@ -317,7 +355,10 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
                                             record.chip.sample_index,
                                             defects, S.clk);
     }
-    if (!B.any_failure()) continue;
+    if (!B.any_failure()) {
+      draw.reject_nofail.add(1);
+      continue;
+    }
     // The chip must fail *because of* the defect: a slow-but-defect-free
     // instance that fails anyway is a process outlier, not a delay
     // defect, and its behavior carries no information about the injected
@@ -341,6 +382,7 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
       record.failed_test = true;
       break;
     }
+    draw.reject_nocontrib.add(1);
   }
   if (!record.failed_test) return;
 
@@ -616,6 +658,14 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
       snap_start, snap_end, "atpg.conflict.bytes");
   ph.conflict_learn_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "atpg.conflict.learn_ns");
+  ph.conflict_unproven = obs::MetricsSnapshot::counter_delta(
+      snap_start, snap_end, "atpg.conflict.unproven");
+  ph.conflict_unproven_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
+      snap_start, snap_end, "atpg.conflict.unproven_ns");
+  for (const char* name : PhaseBreakdown::kStageCounters) {
+    ph.stages.emplace_back(
+        name, obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name));
+  }
 
   SDDD_LOG_INFO(
       "%s: %zu/%zu chips diagnosable, clk=%.3f, %.2fs wall "

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/diag_patterns.h"
@@ -205,6 +206,27 @@ struct PhaseBreakdown {
   std::uint64_t conflict_cores = 0;
   std::uint64_t conflict_bytes = 0;
   double conflict_learn_cpu_seconds = 0.0;
+  /// Learning attempts that proved nothing, and their CPU seconds (part of
+  /// conflict_learn_cpu_seconds).
+  std::uint64_t conflict_unproven = 0;
+  double conflict_unproven_cpu_seconds = 0.0;
+
+  /// Stage counters, in kStageCounters order as (metric name, count): the
+  /// injection draws and why each was rejected, then the ATPG stages and
+  /// the TransitionGraphs built.  They count work the draws alone decide,
+  /// so unlike the PODEM outcomes they match at any thread count and with
+  /// or without the conflict cache.  They stay out of TrialRecord and the
+  /// journal: a resumed run counts only the trials it re-ran.
+  static constexpr const char* kStageCounters[] = {
+      "defect.draws",          "defect.reject_empty",
+      "defect.reject_lo",      "defect.reject_hi",
+      "defect.reject_nofail",  "defect.reject_nocontrib",
+      "atpg.paths.enumerated", "atpg.paths.tried",
+      "atpg.fill.tried",       "atpg.fill.activated",
+      "atpg.site.tries",       "atpg.site.survivors",
+      "atpg.gate.calls",       "atpg.gate.zero",
+      "paths.tg.builds"};
+  std::vector<std::pair<std::string, std::uint64_t>> stages;
 };
 
 struct ExperimentResult {

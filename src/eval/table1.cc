@@ -180,7 +180,17 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
     os << "},\n"
        << "                \"conflict\": {\"cores\": " << ph.conflict_cores
        << ", \"bytes\": " << ph.conflict_bytes
-       << ", \"learn_cpu_s\": " << ph.conflict_learn_cpu_seconds << "}},\n";
+       << ", \"learn_cpu_s\": " << ph.conflict_learn_cpu_seconds
+       << ", \"unproven\": " << ph.conflict_unproven
+       << ", \"unproven_cpu_s\": " << ph.conflict_unproven_cpu_seconds
+       << "},\n";
+    // Stage counters do not depend on the schedule (see PhaseBreakdown).
+    os << "                \"stages\": {";
+    for (std::size_t k = 0; k < ph.stages.size(); ++k) {
+      os << (k == 0 ? "" : k % 3 == 0 ? ",\n                           " : ", ")
+         << "\"" << ph.stages[k].first << "\": " << ph.stages[k].second;
+    }
+    os << "}},\n";
     // Wilson 95% intervals on the top-1 success rates: each rate is a
     // binomial proportion over the diagnosable trials, so without these
     // a 3/4-vs-4/4 difference reads as a 25-point gap.

@@ -8,29 +8,32 @@ using netlist::CellType;
 using netlist::Gate;
 using netlist::GateId;
 
-std::uint64_t eval_gate_words(CellType type,
-                              std::span<const std::uint64_t> fanin_words) {
+namespace {
+
+/// The gate functions over packed words; `in(i)` is fanin pin i's word.
+template <typename In>
+std::uint64_t eval_words(CellType type, std::size_t n, const In& in) {
   switch (type) {
     case CellType::kBuf:
-      return fanin_words[0];
+      return in(0);
     case CellType::kNot:
-      return ~fanin_words[0];
+      return ~in(0);
     case CellType::kAnd:
     case CellType::kNand: {
       std::uint64_t acc = ~0ULL;
-      for (const std::uint64_t w : fanin_words) acc &= w;
+      for (std::size_t i = 0; i < n; ++i) acc &= in(i);
       return type == CellType::kAnd ? acc : ~acc;
     }
     case CellType::kOr:
     case CellType::kNor: {
       std::uint64_t acc = 0ULL;
-      for (const std::uint64_t w : fanin_words) acc |= w;
+      for (std::size_t i = 0; i < n; ++i) acc |= in(i);
       return type == CellType::kOr ? acc : ~acc;
     }
     case CellType::kXor:
     case CellType::kXnor: {
       std::uint64_t acc = 0ULL;
-      for (const std::uint64_t w : fanin_words) acc ^= w;
+      for (std::size_t i = 0; i < n; ++i) acc ^= in(i);
       return type == CellType::kXor ? acc : ~acc;
     }
     case CellType::kConst0:
@@ -44,33 +47,81 @@ std::uint64_t eval_gate_words(CellType type,
   return 0ULL;
 }
 
+}  // namespace
+
+std::uint64_t eval_gate_words(CellType type,
+                              std::span<const std::uint64_t> fanin_words) {
+  return eval_words(type, fanin_words.size(),
+                    [&](std::size_t i) { return fanin_words[i]; });
+}
+
 BitSimulator::BitSimulator(const netlist::Netlist& nl,
                            const netlist::Levelization& lev)
-    : nl_(&nl), lev_(&lev) {
+    : nl_(&nl) {
   if (!nl.frozen()) throw std::logic_error("BitSimulator: netlist not frozen");
   if (nl.dff_count() != 0) {
     throw std::invalid_argument(
         "BitSimulator: sequential netlist - run full_scan_transform first");
   }
+  // Gates of one level never read each other, so any order by level is a
+  // valid sweep; grouping each level by cell type keeps the evaluation's
+  // switch predictable.  A counting sort into (level, type) buckets.
+  constexpr std::size_t kTypes =
+      static_cast<std::size_t>(CellType::kConst1) + 1;
+  const auto bucket = [&](GateId g) {
+    return lev.level(g) * kTypes + static_cast<std::size_t>(nl.gate(g).type);
+  };
+  std::vector<std::uint32_t> next((lev.depth() + 1) * kTypes + 1, 0);
+  for (const GateId g : lev.topo_order()) {
+    const CellType type = nl.gate(g).type;
+    if (is_combinational(type)) {
+      ++next[bucket(g) + 1];
+    } else if (type != CellType::kInput) {
+      program_.unevaluated.push_back(g);
+    }
+  }
+  for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<GateId> order(next.back());
+  for (const GateId g : lev.topo_order()) {
+    if (is_combinational(nl.gate(g).type)) order[next[bucket(g)]++] = g;
+  }
+  program_.fanin_begin.push_back(0);
+  for (const GateId g : order) {
+    const Gate& gate = nl.gate(g);
+    program_.gates.push_back(g);
+    program_.types.push_back(gate.type);
+    program_.fanins.insert(program_.fanins.end(), gate.fanins.begin(),
+                           gate.fanins.end());
+    program_.fanin_begin.push_back(
+        static_cast<std::uint32_t>(program_.fanins.size()));
+  }
+}
+
+void BitSimulator::simulate_into(std::span<const std::uint64_t> pi_words,
+                                 std::span<std::uint64_t> out) const {
+  if (pi_words.size() != nl_->inputs().size()) {
+    throw std::invalid_argument("BitSimulator: pi_words size mismatch");
+  }
+  if (out.size() != nl_->gate_count()) {
+    throw std::invalid_argument("BitSimulator: output size mismatch");
+  }
+  for (std::size_t i = 0; i < pi_words.size(); ++i) {
+    out[nl_->inputs()[i]] = pi_words[i];
+  }
+  for (const GateId g : program_.unevaluated) out[g] = 0;
+  const Program& p = program_;
+  for (std::size_t op = 0; op < p.gates.size(); ++op) {
+    const GateId* fanins = p.fanins.data() + p.fanin_begin[op];
+    out[p.gates[op]] =
+        eval_words(p.types[op], p.fanin_begin[op + 1] - p.fanin_begin[op],
+                   [&](std::size_t i) { return out[fanins[i]]; });
+  }
 }
 
 std::vector<std::uint64_t> BitSimulator::simulate(
     std::span<const std::uint64_t> pi_words) const {
-  if (pi_words.size() != nl_->inputs().size()) {
-    throw std::invalid_argument("BitSimulator: pi_words size mismatch");
-  }
-  std::vector<std::uint64_t> value(nl_->gate_count(), 0);
-  for (std::size_t i = 0; i < pi_words.size(); ++i) {
-    value[nl_->inputs()[i]] = pi_words[i];
-  }
-  std::vector<std::uint64_t> fanin_buf;
-  for (const GateId g : lev_->topo_order()) {
-    const Gate& gate = nl_->gate(g);
-    if (!is_combinational(gate.type)) continue;
-    fanin_buf.clear();
-    for (const GateId f : gate.fanins) fanin_buf.push_back(value[f]);
-    value[g] = eval_gate_words(gate.type, fanin_buf);
-  }
+  std::vector<std::uint64_t> value(nl_->gate_count());
+  simulate_into(pi_words, value);
   return value;
 }
 

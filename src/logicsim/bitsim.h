@@ -7,7 +7,10 @@
 //   - functional sanity checks in tests and the ATPG's pattern validation.
 //
 // One machine word carries the value of a net under 64 independent patterns,
-// so a full-pattern-set simulation is a single topological sweep.
+// so a full-pattern-set simulation is a single topological sweep.  The
+// sweep is compiled once per simulator into a flat program (combinational
+// gates by level, their cell types and CSR fanin lists) and
+// writes into a caller-owned buffer, so repeated sweeps allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +44,11 @@ class BitSimulator {
   /// (indexed by GateId) with the simulated net values.
   std::vector<std::uint64_t> simulate(std::span<const std::uint64_t> pi_words) const;
 
+  /// simulate() into `out`, which must hold one word per gate.  Every word
+  /// of `out` is overwritten.
+  void simulate_into(std::span<const std::uint64_t> pi_words,
+                     std::span<std::uint64_t> out) const;
+
   /// Packs bit `bit` of `words` from the single pattern and simulates it;
   /// returns one bool per gate.  Convenience for single-pattern callers.
   std::vector<bool> simulate_single(const Pattern& pattern) const;
@@ -55,9 +63,23 @@ class BitSimulator {
 
   const netlist::Netlist& netlist() const { return *nl_; }
 
+  /// The compiled sweep: op i evaluates gate `gates[i]` of type `types[i]`
+  /// over fanins[fanin_begin[i] .. fanin_begin[i + 1]) (pin order).  Ops
+  /// run by level, and by cell type within a level: a topological order.
+  /// Gates that are neither inputs nor ops (constants) are listed in
+  /// `unevaluated` and simulate as 0.
+  struct Program {
+    std::vector<netlist::GateId> gates;
+    std::vector<netlist::CellType> types;
+    std::vector<std::uint32_t> fanin_begin;
+    std::vector<netlist::GateId> fanins;
+    std::vector<netlist::GateId> unevaluated;
+  };
+  const Program& program() const { return program_; }
+
  private:
   const netlist::Netlist* nl_;
-  const netlist::Levelization* lev_;
+  Program program_;
 };
 
 /// Evaluates a single gate function over packed words.  Exposed for reuse

@@ -1,99 +1,82 @@
 #include "paths/transition_graph.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "obs/metrics.h"
 
 namespace sddd::paths {
 
 using logicsim::PatternPair;
 using netlist::ArcId;
-using netlist::CellType;
-using netlist::Gate;
 using netlist::GateId;
 using netlist::Netlist;
+
+namespace {
+
+obs::Counter& builds_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().register_counter("paths.tg.builds");
+  return c;
+}
+
+TransitionWords one_pair(const logicsim::BitSimulator& sim,
+                         const PatternPair& pattern) {
+  TransitionWords words(sim);
+  words.simulate(std::span<const PatternPair>(&pattern, 1));
+  return words;
+}
+
+}  // namespace
 
 TransitionGraph::TransitionGraph(const logicsim::BitSimulator& sim,
                                  const netlist::Levelization& lev,
                                  const PatternPair& pattern)
-    : nl_(&sim.netlist()), lev_(&lev) {
+    : TransitionGraph(one_pair(sim, pattern), 0, lev) {}
+
+TransitionGraph::TransitionGraph(const TransitionWords& words, unsigned lane,
+                                 const netlist::Levelization& lev)
+    : nl_(&words.netlist()), lev_(&lev) {
+  builds_counter().add(1);
   const Netlist& nl = *nl_;
-  // Simulate both vectors in one bit-parallel pass: bit 0 = v1, bit 1 = v2.
-  const std::vector<logicsim::Pattern> pair = {pattern.v1, pattern.v2};
-  const auto words = sim.simulate(sim.pack(pair));
-
   const std::size_t n = nl.gate_count();
-  toggles_.assign(n, false);
-  v1_value_.assign(n, false);
-  v2_value_.assign(n, false);
-  rule_.assign(n, ArrivalRule::kMaxOverActive);
-  active_.assign(nl.arc_count(), false);
-  active_fanins_.assign(n, {});
-
+  const auto bit = [lane](std::uint64_t word) {
+    return static_cast<std::uint8_t>((word >> lane) & 1U);
+  };
+  state_.resize(n);
   for (GateId g = 0; g < n; ++g) {
-    v1_value_[g] = (words[g] & 1ULL) != 0;
-    v2_value_[g] = (words[g] & 2ULL) != 0;
-    toggles_[g] = v1_value_[g] != v2_value_[g];
+    state_[g] = static_cast<std::uint8_t>(
+        bit(words.launch(g)) * kV1 | bit(words.capture(g)) * kV2 |
+        bit(words.toggles(g)) * kToggle | bit(words.min_rule(g)) * kMinRule);
   }
-
+  active_.resize(nl.arc_count());
+  fanin_begin_.resize(n + 1);
+  fanin_begin_[0] = 0;
   for (GateId g = 0; g < n; ++g) {
-    const Gate& gate = nl.gate(g);
-    if (!toggles_[g] || !is_combinational(gate.type)) continue;
-
-    auto& act = active_fanins_[g];
-    if (has_controlling_value(gate.type)) {
-      const bool ctrl = controlling_value(gate.type);
-      bool final_controlled = false;
-      for (const GateId f : gate.fanins) {
-        if (v2_value_[f] == ctrl) {
-          final_controlled = true;
-          break;
-        }
-      }
-      if (final_controlled) {
-        // Output switched when the first input reached the controlling
-        // value: only inputs that toggled *to* controlling matter.
-        rule_[g] = ArrivalRule::kMinOverActive;
-        for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-          const GateId f = gate.fanins[pin];
-          if (toggles_[f] && v2_value_[f] == ctrl) {
-            act.push_back(nl.arc_of(g, pin));
-          }
-        }
-      } else {
-        // All inputs settle non-controlling: the last toggling input
-        // releases the output.
-        rule_[g] = ArrivalRule::kMaxOverActive;
-        for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-          if (toggles_[gate.fanins[pin]]) act.push_back(nl.arc_of(g, pin));
-        }
-      }
-    } else {
-      // XOR/XNOR/NOT/BUF: every toggling input contributes; output settles
-      // at the latest.
-      rule_[g] = ArrivalRule::kMaxOverActive;
-      for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-        if (toggles_[gate.fanins[pin]]) act.push_back(nl.arc_of(g, pin));
-      }
+    const ArcId base = nl.arc_base(g);
+    const std::size_t pins = nl.gate(g).fanins.size();
+    for (std::uint32_t pin = 0; pin < pins; ++pin) {
+      active_[base + pin] = bit(words.active(base + pin));
+      if (active_[base + pin] != 0) fanin_arcs_.push_back(base + pin);
     }
-    for (const ArcId a : act) active_[a] = true;
+    fanin_begin_[g + 1] = static_cast<std::uint32_t>(fanin_arcs_.size());
   }
 }
 
 bool TransitionGraph::any_output_toggles() const {
   return std::any_of(nl_->outputs().begin(), nl_->outputs().end(),
-                     [&](GateId o) { return toggles_[o]; });
+                     [&](GateId o) { return toggles(o); });
 }
 
 std::vector<bool> TransitionGraph::cone_to_output(GateId o) const {
   std::vector<bool> in_cone(nl_->arc_count(), false);
-  if (!toggles_[o]) return in_cone;
+  if (!toggles(o)) return in_cone;
   std::vector<bool> visited(nl_->gate_count(), false);
   std::vector<GateId> stack = {o};
   visited[o] = true;
   while (!stack.empty()) {
     const GateId g = stack.back();
     stack.pop_back();
-    for (const ArcId a : active_fanins_[g]) {
+    for (const ArcId a : active_fanins(g)) {
       in_cone[a] = true;
       const auto& arc = nl_->arc(a);
       const GateId f = nl_->gate(arc.gate).fanins[arc.pin];
@@ -108,7 +91,7 @@ std::vector<bool> TransitionGraph::cone_to_output(GateId o) const {
 
 std::vector<GateId> TransitionGraph::forward_cone(GateId g) const {
   std::vector<GateId> cone;
-  if (!toggles_[g]) return cone;
+  if (!toggles(g)) return cone;
   std::vector<bool> visited(nl_->gate_count(), false);
   std::vector<GateId> stack = {g};
   visited[g] = true;
@@ -120,7 +103,7 @@ std::vector<GateId> TransitionGraph::forward_cone(GateId g) const {
       if (visited[fo]) continue;
       // The fanout is in the cone when one of its *active* fanin arcs
       // originates at `cur`.
-      for (const ArcId a : active_fanins_[fo]) {
+      for (const ArcId a : active_fanins(fo)) {
         const auto& arc = nl_->arc(a);
         if (nl_->gate(arc.gate).fanins[arc.pin] == cur) {
           visited[fo] = true;

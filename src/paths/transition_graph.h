@@ -1,6 +1,6 @@
 // transition_graph.h - Per-pattern sensitization analysis.
 //
-// Given a two-vector test (v1, v2), this module computes which nets toggle
+// Given a two-vector test (v1, v2), this module answers which nets toggle
 // and which timing arcs are *active*, i.e. carry a transition that
 // contributes to the output settling time.  The active subgraph is exactly
 // the paper's induced circuit Induced(Path_v) (Definitions D.3-D.5): the
@@ -21,22 +21,24 @@
 // keeps every quantity a pure min/max/plus network over arc-delay samples,
 // which makes all timing quantities monotone in every arc delay - the
 // property that guarantees S_crt = E_crt - M_crt >= 0 (Definition E.1).
+//
+// The rules themselves are computed 64 patterns at a time by
+// TransitionWords (transition_words.h); a TransitionGraph is one lane of
+// that kernel, copied out with its active fanin arcs stored flat (CSR) for
+// the per-pattern walks of the timing simulator, suspect extraction and
+// path enumeration.  Each construction counts one `paths.tg.builds`.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/netlist.h"
+#include "paths/transition_words.h"
 
 namespace sddd::paths {
-
-/// How a toggling gate's arrival time combines its active fanin arrivals.
-enum class ArrivalRule : std::uint8_t {
-  kMaxOverActive,  ///< final value non-controlled: latest active input
-  kMinOverActive,  ///< final value controlled: earliest controlling input
-};
 
 /// Sensitization result for one pattern pair on one netlist.
 class TransitionGraph {
@@ -47,26 +49,36 @@ class TransitionGraph {
                   const netlist::Levelization& lev,
                   const logicsim::PatternPair& pattern);
 
+  /// The graph of lane `lane` of already-simulated words.
+  TransitionGraph(const TransitionWords& words, unsigned lane,
+                  const netlist::Levelization& lev);
+
   const netlist::Netlist& netlist() const { return *nl_; }
 
   /// True when the net toggles between the two vectors.
-  bool toggles(netlist::GateId g) const { return toggles_[g]; }
+  bool toggles(netlist::GateId g) const { return (state_[g] & kToggle) != 0; }
 
   /// True when the arc carries a contributing transition (see header).
-  bool is_active(netlist::ArcId a) const { return active_[a]; }
+  bool is_active(netlist::ArcId a) const { return active_[a] != 0; }
 
-  ArrivalRule rule(netlist::GateId g) const { return rule_[g]; }
+  ArrivalRule rule(netlist::GateId g) const {
+    return (state_[g] & kMinRule) != 0 ? ArrivalRule::kMinOverActive
+                                       : ArrivalRule::kMaxOverActive;
+  }
 
-  /// Active fanin arcs of gate g (subset of its pins), empty when the gate
-  /// does not toggle or is a source.
-  const std::vector<netlist::ArcId>& active_fanins(netlist::GateId g) const {
-    return active_fanins_[g];
+  /// Active fanin arcs of gate g (subset of its pins, in pin order), empty
+  /// when the gate does not toggle or is a source.
+  std::span<const netlist::ArcId> active_fanins(netlist::GateId g) const {
+    return {fanin_arcs_.data() + fanin_begin_[g],
+            fanin_arcs_.data() + fanin_begin_[g + 1]};
   }
 
   /// Final (v2) logic value of each gate; used by tests and the ATPG.
-  bool final_value(netlist::GateId g) const { return v2_value_[g]; }
+  bool final_value(netlist::GateId g) const { return (state_[g] & kV2) != 0; }
   /// Initial (v1) logic value of each gate.
-  bool initial_value(netlist::GateId g) const { return v1_value_[g]; }
+  bool initial_value(netlist::GateId g) const {
+    return (state_[g] & kV1) != 0;
+  }
 
   /// True when at least one primary output toggles (the pattern exercises
   /// some path; otherwise the induced circuit is empty).
@@ -84,14 +96,21 @@ class TransitionGraph {
   std::vector<netlist::GateId> forward_cone(netlist::GateId g) const;
 
  private:
+  /// Bits of state_.
+  static constexpr std::uint8_t kV1 = 1;
+  static constexpr std::uint8_t kV2 = 2;
+  static constexpr std::uint8_t kToggle = 4;
+  static constexpr std::uint8_t kMinRule = 8;
+
   const netlist::Netlist* nl_;
   const netlist::Levelization* lev_;
-  std::vector<bool> toggles_;
-  std::vector<bool> active_;
-  std::vector<bool> v1_value_;
-  std::vector<bool> v2_value_;
-  std::vector<ArrivalRule> rule_;
-  std::vector<std::vector<netlist::ArcId>> active_fanins_;
+  /// Per gate: kV1 | kV2 | kToggle | kMinRule.
+  std::vector<std::uint8_t> state_;
+  std::vector<std::uint8_t> active_;  ///< per arc: 1 when active
+  /// Active fanin arcs of gate g: fanin_arcs_[fanin_begin_[g] ..
+  /// fanin_begin_[g + 1]).
+  std::vector<std::uint32_t> fanin_begin_;
+  std::vector<netlist::ArcId> fanin_arcs_;
 };
 
 }  // namespace sddd::paths

@@ -376,28 +376,56 @@ std::vector<double> DynamicTimingSimulator::simulate_instance_multi(
   return arr;
 }
 
-std::vector<double> nominal_arrivals(const TransitionGraph& tg,
-                                     const ArcDelayModel& model,
-                                     const netlist::Levelization& lev) {
+namespace {
+
+/// The nominal-arrival recurrence over one pattern's activity, read
+/// through TransitionGraph's accessors (toggles, rule, is_active).  A
+/// toggling gate takes the MIN (from +inf) or the MAX (from 0) of
+/// arr[fanin] + mean over its active arcs.  Both folds run over every pin,
+/// an inactive arc contributing the fold's identity, and the rule picks
+/// one afterwards: every pattern activates a different subset of arcs, so
+/// a branch per arc would mispredict about as often as it is taken.
+template <typename Activity>
+std::vector<double> nominal_recurrence(const Activity& act,
+                                       const ArcDelayModel& model,
+                                       const netlist::Levelization& lev) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const Netlist& nl = model.netlist();
   std::vector<double> arr(nl.gate_count(), -1.0);
   for (const GateId g : lev.topo_order()) {
-    if (!tg.toggles(g)) continue;
-    if (!is_combinational(nl.gate(g).type)) {
+    if (!act.toggles(g)) continue;
+    const netlist::Gate& gate = nl.gate(g);
+    if (!is_combinational(gate.type)) {
       arr[g] = 0.0;
       continue;
     }
-    const auto& act = tg.active_fanins(g);
-    const bool use_min = tg.rule(g) == ArrivalRule::kMinOverActive;
-    double best = use_min ? std::numeric_limits<double>::infinity() : 0.0;
-    for (const ArcId a : act) {
-      const auto& arc = nl.arc(a);
-      const double cand = arr[nl.gate(arc.gate).fanins[arc.pin]] + model.mean(a);
-      if (use_min ? (cand < best) : (cand > best)) best = cand;
+    double lo = kInf;
+    double hi = 0.0;
+    const ArcId base = nl.arc_base(g);
+    for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
+      const bool active = act.is_active(base + pin);
+      const double cand = arr[gate.fanins[pin]] + model.mean(base + pin);
+      lo = std::min(lo, active ? cand : kInf);
+      hi = std::max(hi, active ? cand : 0.0);
     }
-    arr[g] = best;
+    const bool use_min = act.rule(g) == ArrivalRule::kMinOverActive;
+    arr[g] = use_min ? lo : hi;
   }
   return arr;
+}
+
+}  // namespace
+
+std::vector<double> nominal_arrivals(const TransitionGraph& tg,
+                                     const ArcDelayModel& model,
+                                     const netlist::Levelization& lev) {
+  return nominal_recurrence(tg, model, lev);
+}
+
+std::vector<double> nominal_arrivals(const paths::TransitionWords::Lane& lane,
+                                     const ArcDelayModel& model,
+                                     const netlist::Levelization& lev) {
+  return nominal_recurrence(lane, model, lev);
 }
 
 stats::SampleVector DynamicTimingSimulator::induced_delay(

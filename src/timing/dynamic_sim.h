@@ -180,4 +180,11 @@ std::vector<double> nominal_arrivals(const paths::TransitionGraph& tg,
                                      const ArcDelayModel& model,
                                      const netlist::Levelization& lev);
 
+/// The same arrivals for one lane of a 64-lane activity kernel, without
+/// building its graph (the ATPG's site search and detectability gate).
+/// Bit-identical to the TransitionGraph overload for that lane's pattern.
+std::vector<double> nominal_arrivals(const paths::TransitionWords::Lane& lane,
+                                     const ArcDelayModel& model,
+                                     const netlist::Levelization& lev);
+
 }  // namespace sddd::timing

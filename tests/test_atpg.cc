@@ -1,10 +1,14 @@
 // Unit tests for the ATPG substrate: PODEM objective satisfaction, the
 // learned-conflict cache, path sensitization (non-robust and robust), GA
-// fill and the diagnostic pattern-set generator.
+// fill and the diagnostic pattern-set generator, whose site search, gate
+// and fill loop are also checked against the scalar oracle of
+// activity_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
+#include "activity_oracle.h"
 #include "atpg/conflict_cache.h"
 #include "atpg/diag_patterns.h"
 #include "atpg/ga_fill.h"
@@ -549,6 +553,131 @@ TEST(DiagPatterns, BestNominalDelayConsistent) {
         site_best_nominal_delay(f.model, f.lev, {}, site), 0.0);
   }
 }
+
+// ---------------------------------------------------------------------------
+// The ATPG's word-parallel site search, detectability gate and fill loop
+// against the one-graph-per-pattern oracle (activity_oracle.h): the same
+// patterns, bit-identical doubles and the same RNG state afterwards.
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The stand-in of `name` at a scale with at least 200 arcs to site on.
+Netlist equivalence_standin(const std::string& name) {
+  return netlist::make_standin(*netlist::find_profile(name),
+                               name == "s1196" ? 0.35 : 0.15, 7);
+}
+
+/// Every step-th arc, at least 200 of them.
+std::vector<ArcId> equivalence_sites(const Netlist& nl) {
+  const std::size_t step = std::max<std::size_t>(1, nl.arc_count() / 200);
+  std::vector<ArcId> sites;
+  for (std::size_t a = 0; a < nl.arc_count(); a += step) {
+    sites.push_back(static_cast<ArcId>(a));
+  }
+  return sites;
+}
+
+class ActivityEquivalence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ActivityEquivalence, SiteSearchAndGateMatchOracle) {
+  const Netlist nl = equivalence_standin(GetParam());
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  const auto sites = equivalence_sites(nl);
+  ASSERT_GE(sites.size(), 200u);
+  stats::Rng extra_rng(43);
+  std::size_t found = 0;
+  std::size_t detected = 0;
+  for (const ArcId site : sites) {
+    stats::Rng got_rng(1000 + site);
+    stats::Rng want_rng = got_rng;
+    const auto got =
+        site_activating_patterns(model, lev, site, 8, 160, got_rng);
+    const auto want = test_oracle::oracle_site_activating_patterns(
+        model, lev, site, 8, 160, want_rng);
+    ASSERT_EQ(got.size(), want.size()) << "site " << site;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].v1, want[i].v1) << "site " << site;
+      ASSERT_EQ(got[i].v2, want[i].v2) << "site " << site;
+    }
+    ASSERT_EQ(got_rng.next(), want_rng.next()) << "site " << site;
+    found += got.size();
+
+    // The gate on the site-search set, and on a set of more than 64
+    // patterns (two sweep pairs) with the same set in its second word.
+    std::vector<logicsim::PatternPair> big;
+    for (std::size_t k = 0; k < 70; ++k) {
+      big.push_back(random_pattern_pair(nl.inputs().size(), extra_rng));
+    }
+    big.insert(big.end(), got.begin(), got.end());
+    for (const auto& set : {got, big}) {
+      const double d = site_best_nominal_delay(model, lev, set, site);
+      ASSERT_TRUE(same_bits(d, test_oracle::oracle_site_best_nominal_delay(
+                                   model, lev, set, site)))
+          << "site " << site << " patterns " << set.size() << " d " << d;
+      detected += d > 0.0 ? 1U : 0U;
+    }
+  }
+  EXPECT_GT(found, sites.size());
+  EXPECT_GT(detected, sites.size() / 2);
+}
+
+TEST_P(ActivityEquivalence, FillsMatchOracle) {
+  const Netlist nl = equivalence_standin(GetParam());
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  const BitSimulator sim(nl, lev);
+  // The cache only prunes sensitizations that fail either way; it keeps
+  // the oracle's second sensitize of each path cheap.
+  ConflictCache cache(nl);
+  const PathDelayAtpg atpg(nl, lev, &cache);
+  std::size_t first = 0;
+  std::size_t eighth = 0;
+  std::size_t none = 0;
+  std::size_t sites_seen = 0;
+  for (const ArcId site : equivalence_sites(nl)) {
+    ++sites_seen;
+    for (const auto& path :
+         paths::k_heaviest_paths_through(nl, lev, model.means(), site, 4)) {
+      for (const bool rising : {true, false}) {
+        for (const bool robust : {false, true}) {
+          stats::Rng got_rng(7000 + site);
+          stats::Rng want_rng = got_rng;
+          const auto got =
+              atpg.generate(path, rising, robust, got_rng, 8, 300);
+          int fill = -1;
+          const auto want = test_oracle::oracle_generate(
+              atpg, sim, path, rising, robust, want_rng, 8, 300, &fill);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "site " << site;
+          ASSERT_EQ(got_rng.next(), want_rng.next()) << "site " << site;
+          if (!got) continue;
+          ASSERT_EQ(got->pattern.v1, want->pattern.v1) << "site " << site;
+          ASSERT_EQ(got->pattern.v2, want->pattern.v2) << "site " << site;
+          ASSERT_EQ(got->activates, want->activates) << "site " << site;
+          first += fill == 0 ? 1U : 0U;
+          eighth += fill == 7 ? 1U : 0U;
+          none += fill < 0 ? 1U : 0U;
+        }
+      }
+    }
+  }
+  EXPECT_GE(sites_seen, 200u);
+  // The first fill, the last of the eight and none of them each activated
+  // somewhere, so every exit of the lane search was compared.
+  EXPECT_GT(first, 0u);
+  EXPECT_GT(eighth, 0u);
+  EXPECT_GT(none, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, ActivityEquivalence, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
 
 TEST(RandomPatternPair, CorrectWidth) {
   stats::Rng rng(22);

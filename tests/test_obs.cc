@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -525,6 +527,57 @@ TEST(ExperimentPhases, RecordsBreakdown) {
     EXPECT_GT(ph.score_cpu_seconds, 0.0);
     EXPECT_GT(ph.mc_observe_cpu_seconds, 0.0);
   }
+}
+
+// The stage counters count work the draws alone decide: they must not
+// move with the thread count (the learned-conflict cache, which does
+// depend on the schedule, only prunes PODEM calls that fail either way).
+TEST(ExperimentPhases, StageCountersMatchAcrossThreads) {
+  const ThreadCountGuard guard;
+  netlist::SynthSpec spec;
+  spec.name = "stages_test";
+  spec.n_inputs = 16;
+  spec.n_outputs = 10;
+  spec.n_gates = 120;
+  spec.depth = 10;
+  spec.seed = 5;
+  const auto nl = netlist::synthesize(spec);
+
+  eval::ExperimentConfig config;
+  config.mc_samples = 60;
+  config.n_chips = 6;
+  config.max_suspects = 80;
+  config.pattern_config.site_search_tries = 100;
+  config.calibration_sites = 8;
+  config.seed = 9;
+
+  runtime::set_thread_count(1);
+  const auto serial = eval::run_diagnosis_experiment(nl, config).phases;
+  runtime::set_thread_count(4);
+  const auto parallel = eval::run_diagnosis_experiment(nl, config).phases;
+
+  ASSERT_EQ(serial.stages.size(),
+            std::size(eval::PhaseBreakdown::kStageCounters));
+  EXPECT_EQ(serial.stages, parallel.stages);
+  const auto stage = [&](std::string_view name) {
+    for (const auto& [n, v] : serial.stages) {
+      if (n == name) return v;
+    }
+    ADD_FAILURE() << "no stage counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_GE(stage("defect.draws"), config.n_chips);
+  EXPECT_LE(stage("defect.reject_empty") + stage("defect.reject_lo") +
+                stage("defect.reject_hi") + stage("defect.reject_nofail") +
+                stage("defect.reject_nocontrib"),
+            stage("defect.draws"));
+  EXPECT_GE(stage("atpg.paths.enumerated"), stage("atpg.paths.tried"));
+  EXPECT_GE(stage("atpg.fill.tried"), stage("atpg.fill.activated"));
+  EXPECT_GT(stage("atpg.fill.activated"), 0U);
+  EXPECT_GE(stage("atpg.site.tries"), stage("atpg.site.survivors"));
+  EXPECT_GT(stage("atpg.site.survivors"), 0U);
+  EXPECT_GE(stage("atpg.gate.calls"), stage("atpg.gate.zero"));
+  EXPECT_GT(stage("paths.tg.builds"), 0U);
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // Unit tests for path machinery: path validity, transition graphs
 // (toggles, active arcs, min/max rules), cones, path enumeration and
 // heaviest-path selection, plus an exhaustive brute-force check of the
-// transition graph on c17 (all 1024 pattern pairs).
+// transition graph and of the 64-lane activity kernel on c17 (all 1024
+// pattern pairs) and a lane-by-lane check of the kernel against the scalar
+// oracle (activity_oracle.h) on stand-ins.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "activity_oracle.h"
+#include "atpg/pdf_atpg.h"
 #include "logicsim/bitsim.h"
 #include "netlist/bench_io.h"
 #include "netlist/iscas_catalog.h"
@@ -12,7 +19,11 @@
 #include "paths/path.h"
 #include "paths/path_enum.h"
 #include "paths/transition_graph.h"
+#include "paths/transition_words.h"
 #include "stats/rng.h"
+#include "timing/celllib.h"
+#include "timing/delay_model.h"
+#include "timing/dynamic_sim.h"
 
 namespace sddd::paths {
 namespace {
@@ -380,6 +391,158 @@ TEST(ExhaustiveC17, TransitionGraphMatchesBruteForce) {
   }
   EXPECT_GT(active_arcs_total, 1000u);  // the sweep exercised real activity
 }
+
+// The same brute force lane by lane: all 1,024 c17 pairs, 64 per sweep.
+TEST(ExhaustiveC17, TransitionWordsMatchBruteForce) {
+  const auto nl = netlist::parse_bench_string(netlist::c17_bench_text(), "c17");
+  const Levelization lev(nl);
+  const BitSimulator sim(nl, lev);
+  TransitionWords words(sim);
+  std::size_t min_lanes = 0;
+  for (unsigned block = 0; block < 16; ++block) {
+    std::vector<std::uint64_t> w1(5, 0);
+    std::vector<std::uint64_t> w2(5, 0);
+    for (unsigned lane = 0; lane < 64; ++lane) {
+      const unsigned pair = block * 64 + lane;
+      for (unsigned i = 0; i < 5; ++i) {
+        w1[i] |= static_cast<std::uint64_t>(((pair / 32) >> i) & 1U) << lane;
+        w2[i] |= static_cast<std::uint64_t>(((pair % 32) >> i) & 1U) << lane;
+      }
+    }
+    words.simulate(w1, w2);
+    for (unsigned lane = 0; lane < 64; ++lane) {
+      const PatternPair pp = words.pattern(lane);
+      const unsigned pair = block * 64 + lane;
+      for (unsigned i = 0; i < 5; ++i) {
+        ASSERT_EQ(pp.v1[i], (((pair / 32) >> i) & 1U) != 0);
+        ASSERT_EQ(pp.v2[i], (((pair % 32) >> i) & 1U) != 0);
+      }
+      const auto val1 = sim.simulate_single(pp.v1);
+      const auto val2 = sim.simulate_single(pp.v2);
+      const auto bit = [lane](std::uint64_t w) {
+        return ((w >> lane) & 1U) != 0;
+      };
+      for (GateId g = 0; g < nl.gate_count(); ++g) {
+        const bool toggles = val1[g] != val2[g];
+        ASSERT_EQ(bit(words.toggles(g)), toggles);
+        ASSERT_EQ(bit(words.launch(g)), val1[g]);
+        ASSERT_EQ(bit(words.capture(g)), val2[g]);
+        const auto& fanins = nl.gate(g).fanins;
+        // c17 is all NAND: the output settles controlled when some input
+        // settles at 0, and then only inputs that fell to 0 are active.
+        bool some_ctrl = false;
+        for (const GateId f : fanins) some_ctrl |= !val2[f];
+        const bool min_rule = toggles && some_ctrl;
+        ASSERT_EQ(bit(words.min_rule(g)), min_rule);
+        min_lanes += min_rule ? 1U : 0U;
+        for (std::uint32_t pin = 0; pin < fanins.size(); ++pin) {
+          const GateId f = fanins[pin];
+          const bool active =
+              toggles && val1[f] != val2[f] && (!min_rule || !val2[f]);
+          ASSERT_EQ(bit(words.active(nl.arc_of(g, pin))), active);
+        }
+      }
+    }
+  }
+  EXPECT_GT(min_lanes, 1000u);
+}
+
+/// Every claim of lane `lane` against the scalar oracle graph of its pair.
+void expect_lane_matches(const TransitionWords& words, unsigned lane,
+                         const test_oracle::OracleGraph& want) {
+  const Netlist& nl = words.netlist();
+  const auto bit = [lane](std::uint64_t w) { return ((w >> lane) & 1U) != 0; };
+  for (GateId g = 0; g < nl.gate_count(); ++g) {
+    ASSERT_EQ(bit(words.toggles(g)), want.toggles[g]) << "gate " << g;
+    ASSERT_EQ(bit(words.min_rule(g)), want.min_rule[g]) << "gate " << g;
+    ASSERT_EQ(bit(words.launch(g)), want.v1[g]) << "gate " << g;
+    ASSERT_EQ(bit(words.capture(g)), want.v2[g]) << "gate " << g;
+  }
+  for (ArcId a = 0; a < nl.arc_count(); ++a) {
+    ASSERT_EQ(bit(words.active(a)), want.active[a]) << "arc " << a;
+  }
+}
+
+/// A TransitionGraph against the oracle: values, rules and the flat
+/// active fanins in pin order.
+void expect_graph_matches(const TransitionGraph& tg,
+                          const test_oracle::OracleGraph& want) {
+  const Netlist& nl = tg.netlist();
+  for (GateId g = 0; g < nl.gate_count(); ++g) {
+    ASSERT_EQ(tg.toggles(g), want.toggles[g]) << "gate " << g;
+    ASSERT_EQ(tg.initial_value(g), want.v1[g]) << "gate " << g;
+    ASSERT_EQ(tg.final_value(g), want.v2[g]) << "gate " << g;
+    ASSERT_EQ(tg.rule(g) == ArrivalRule::kMinOverActive, want.min_rule[g]);
+    const auto act = tg.active_fanins(g);
+    ASSERT_TRUE(std::equal(act.begin(), act.end(),
+                           want.active_fanins[g].begin(),
+                           want.active_fanins[g].end()))
+        << "gate " << g;
+  }
+  for (ArcId a = 0; a < nl.arc_count(); ++a) {
+    ASSERT_EQ(tg.is_active(a), want.active[a]) << "arc " << a;
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+class TransitionWordsOracle : public ::testing::TestWithParam<const char*> {};
+
+// Lane widths 1, 37 and 64 on a stand-in: every lane's words, its one-lane
+// graph and its nominal arrivals equal the scalar oracle's; lanes past the
+// width hold the all-zero pair and stay quiet.
+TEST_P(TransitionWordsOracle, LanesMatchScalarGraphs) {
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
+  const Levelization lev(nl);
+  const BitSimulator sim(nl, lev);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  TransitionWords words(sim);
+  stats::Rng rng(41);
+  std::size_t active_arcs = 0;
+  for (const std::size_t width : {1U, 37U, 64U}) {
+    std::vector<PatternPair> pairs;
+    for (std::size_t k = 0; k < width; ++k) {
+      pairs.push_back(atpg::random_pattern_pair(nl.inputs().size(), rng));
+    }
+    words.simulate(pairs);
+    for (unsigned lane = 0; lane < 64; ++lane) {
+      if (lane >= width) {
+        for (GateId g = 0; g < nl.gate_count(); ++g) {
+          ASSERT_EQ((words.toggles(g) >> lane) & 1U, 0U);
+        }
+        continue;
+      }
+      const test_oracle::OracleGraph want(sim, pairs[lane]);
+      expect_lane_matches(words, lane, want);
+      const auto pattern = words.pattern(lane);
+      ASSERT_EQ(pattern.v1, pairs[lane].v1);
+      ASSERT_EQ(pattern.v2, pairs[lane].v2);
+      expect_graph_matches(TransitionGraph(words, lane, lev), want);
+      const TransitionGraph tg(sim, lev, pairs[lane]);
+      expect_graph_matches(tg, want);
+      const auto arr = test_oracle::oracle_nominal_arrivals(want, model, lev);
+      EXPECT_TRUE(same_bits(
+          timing::nominal_arrivals(words.lane(lane), model, lev), arr));
+      EXPECT_TRUE(same_bits(timing::nominal_arrivals(tg, model, lev), arr));
+      active_arcs += std::count(want.active.begin(), want.active.end(), true);
+    }
+  }
+  EXPECT_GT(active_arcs, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, TransitionWordsOracle, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
 
 }  // namespace
 }  // namespace sddd::paths

@@ -164,18 +164,30 @@ with open(sys.argv[2]) as f:
     want = f.read().strip()
 assert got == want, f"explain JSON sha256 {got} != golden {want}"
 # The diagnose must actually have scored through the kernel and the cache,
-# and its ATPG must have pruned PODEM calls with learned conflicts.
+# its ATPG must have pruned PODEM calls with learned conflicts, and its
+# stage counters must describe a run that did work.
 with open(sys.argv[3]) as f:
     counters = json.load(f)["counters"]
 for key in ("diag.kernel.patterns", "diag.kernel.suspects",
             "dict.sig_cache.misses", "dict.sig_cache.bytes",
             "atpg.podem.pruned", "atpg.conflict.cores"):
     assert counters.get(key, 0) > 0, f"counter {key} missing or zero"
+# The ATPG stage counters: fills were tried and some activated their
+# path, the site search kept survivors, the draw loop ran, and the
+# diagnosis still built transition graphs.
+c = lambda key: counters.get(key, 0)
+assert c("atpg.fill.tried") >= c("atpg.fill.activated") > 0, \
+    (c("atpg.fill.tried"), c("atpg.fill.activated"))
+assert c("atpg.site.survivors") > 0, "no site-search survivors"
+assert c("defect.draws") >= 2, c("defect.draws")
+assert c("paths.tg.builds") > 0, "no transition graphs built"
 print(f"golden bytes ok: result + explain identical, "
       f"{counters['diag.kernel.suspects']} kernel phi columns, "
       f"{counters['dict.sig_cache.misses']} cache builds, "
       f"{counters['atpg.podem.pruned']} PODEM calls pruned by "
-      f"{counters['atpg.conflict.cores']} learned cores")
+      f"{counters['atpg.conflict.cores']} learned cores, "
+      f"{c('atpg.fill.activated')}/{c('atpg.fill.tried')} fills activating, "
+      f"{c('defect.draws')} draws, {c('paths.tg.builds')} graphs")
 EOF
 
 echo "== [6/14] diagnosability gate (static analysis + suspect collapse) =="
