@@ -1,6 +1,7 @@
 #include "diagnosis/diagnoser.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -9,12 +10,10 @@
 #include "diagnosis/signature_matrix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "paths/path_enum.h"
 
 namespace sddd::diagnosis {
 
 using netlist::ArcId;
-using netlist::GateId;
 
 namespace {
 
@@ -64,10 +63,25 @@ class CacheColumns final : public ColumnSource {
 
 }  // namespace
 
-std::vector<ArcId> select_suspects(std::span<const std::uint32_t> support,
-                                   std::size_t max_suspects) {
+std::vector<ArcId> suspects_from_cone_rows(
+    std::span<const std::uint64_t* const> rows, std::size_t n_arcs,
+    std::size_t max_suspects) {
+  const std::size_t words = (n_arcs + 63) / 64;
+  // Bits past the last arc are padding: a stored row is file bytes.
+  const std::uint64_t last_mask =
+      n_arcs % 64 == 0 ? ~0ULL : (std::uint64_t{1} << (n_arcs % 64)) - 1;
+  std::vector<std::uint32_t> support(n_arcs, 0);
+  for (const std::uint64_t* row : rows) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = w + 1 == words ? row[w] & last_mask : row[w];
+      while (bits != 0) {
+        ++support[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        bits &= bits - 1;
+      }
+    }
+  }
   std::vector<ArcId> suspects;
-  for (ArcId a = 0; a < support.size(); ++a) {
+  for (ArcId a = 0; a < n_arcs; ++a) {
     if (support[a] > 0) suspects.push_back(a);
   }
   if (max_suspects > 0 && suspects.size() > max_suspects) {
@@ -94,22 +108,32 @@ Diagnoser::Diagnoser(const timing::DynamicTimingSimulator& sim,
 std::vector<ArcId> Diagnoser::extract_suspects(
     std::span<const logicsim::PatternPair> patterns,
     const BehaviorMatrix& B) const {
+  if (config_.cache != nullptr) {
+    return extract_suspects(*config_.cache, patterns, B);
+  }
+  // Cone rows depend on the pattern alone, so an extraction-only cache
+  // needs no clk.
+  const SignatureCache local(*sim_, *logic_sim_, *lev_, *size_model_, 0.0,
+                             config_.match_on_total_probability);
+  return extract_suspects(local, patterns, B);
+}
+
+std::vector<ArcId> Diagnoser::extract_suspects(
+    const SignatureCache& cache,
+    std::span<const logicsim::PatternPair> patterns,
+    const BehaviorMatrix& B) const {
   SDDD_SPAN(span, "diag.extract");
-  span.arg("failing_patterns",
-           static_cast<std::int64_t>(B.failing_patterns().size()));
+  const std::vector<std::size_t> failing = B.failing_patterns();
+  span.arg("failing_patterns", static_cast<std::int64_t>(failing.size()));
   const obs::ScopedNsTimer timer(diag_extract_ns_counter());
-  const auto& nl = logic_sim_->netlist();
-  std::vector<std::uint32_t> support(nl.arc_count(), 0);
-  for (const std::size_t j : B.failing_patterns()) {
-    const paths::TransitionGraph tg(*logic_sim_, *lev_, patterns[j]);
-    for (const GateId o : B.failing_output_gates(nl, j)) {
-      const auto cone = tg.cone_to_output(o);
-      for (ArcId a = 0; a < nl.arc_count(); ++a) {
-        if (cone[a]) ++support[a];
-      }
+  std::vector<const std::uint64_t*> rows;
+  for (const std::size_t j : failing) {
+    for (std::size_t i = 0; i < B.output_count(); ++i) {
+      if (B.at(i, j)) rows.push_back(cache.cone_row(patterns[j], i));
     }
   }
-  return select_suspects(support, config_.max_suspects);
+  return suspects_from_cone_rows(rows, logic_sim_->netlist().arc_count(),
+                                 config_.max_suspects);
 }
 
 DiagnosisResult Diagnoser::diagnose(
@@ -139,7 +163,7 @@ DiagnosisResult Diagnoser::diagnose(
   const std::uint64_t t0 = obs::now_ns();
   DiagnosisResult result;
   result.methods.assign(methods.begin(), methods.end());
-  result.suspects = extract_suspects(patterns, B);
+  result.suspects = extract_suspects(*cache, patterns, B);
   result.mc_samples = sim_->field().sample_count();
   score_suspects(CacheColumns(*cache, patterns), B, config_.capture_phi,
                  result);
@@ -148,21 +172,34 @@ DiagnosisResult Diagnoser::diagnose(
   return result;
 }
 
-std::vector<RankedSuspect> DiagnosisResult::ranked(Method m) const {
+std::vector<std::size_t> DiagnosisResult::top(Method m, std::size_t k) const {
   const auto it = std::find(methods.begin(), methods.end(), m);
   if (it == methods.end()) {
     throw std::invalid_argument("DiagnosisResult: method not computed");
   }
-  const auto mi = static_cast<std::size_t>(it - methods.begin());
-  const auto& sc = scores[mi];
-  const auto& key = keys[mi];
+  const auto& key = keys[static_cast<std::size_t>(it - methods.begin())];
   std::vector<std::size_t> order(suspects.size());
   for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return ranks_better(m, key[a], key[b]);
-                   });
-  std::vector<RankedSuspect> out(suspects.size());
+  const std::size_t n = k == 0 ? order.size() : std::min(k, order.size());
+  // Key first, position second: a total order whose first n entries are
+  // the first n of a stable sort by key.
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(n),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      if (ranks_better(m, key[a], key[b])) return true;
+                      if (ranks_better(m, key[b], key[a])) return false;
+                      return a < b;
+                    });
+  order.resize(n);
+  return order;
+}
+
+std::vector<RankedSuspect> DiagnosisResult::ranked(Method m) const {
+  const std::vector<std::size_t> order = top(m, 0);
+  const auto& sc =
+      scores[static_cast<std::size_t>(
+          std::find(methods.begin(), methods.end(), m) - methods.begin())];
+  std::vector<RankedSuspect> out(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     out[i] = RankedSuspect{suspects[order[i]], sc[order[i]]};
   }
@@ -170,10 +207,10 @@ std::vector<RankedSuspect> DiagnosisResult::ranked(Method m) const {
 }
 
 bool DiagnosisResult::hit_within(Method m, ArcId arc, std::size_t k) const {
-  const auto r = ranked(m);
-  const std::size_t limit = std::min(k, r.size());
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (r[i].arc == arc) return true;
+  const std::vector<std::size_t> best = top(m, k);
+  if (k == 0) return false;  // top() reads k = 0 as "all"
+  for (const std::size_t s : best) {
+    if (suspects[s] == arc) return true;
   }
   return false;
 }

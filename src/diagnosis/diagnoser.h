@@ -3,7 +3,9 @@
 //
 // Flow per Algorithm E.1:
 //   1. suspect extraction (cause-effect, logic domain): every arc lying on
-//      an active path to a failing output under a failing pattern;
+//      an active path to a failing output under a failing pattern, read
+//      from the SignatureCache's cone rows by suspects_from_cone_rows()
+//      (the store engine runs the same function over its stored rows);
 //   2. per suspect i, per pattern j: signature column S_j = E_crt - M_crt
 //      via incremental dynamic simulation, then
 //   3. phi_j = prod_k [b_kj s_kj + (1-b_kj)(1-s_kj)]  (steps 5-6);
@@ -15,7 +17,8 @@
 // source is a SignatureCache: the caller's shared one, or a call-local one
 // when DiagnoserConfig::cache is null.  The pattern loop is outermost so
 // only one pattern's baseline arrival matrix is alive at a time; all
-// methods share one pass (the phi values are method-independent).
+// methods share one pass and one sum set per suspect (phi and its terms
+// are method-independent).
 #pragma once
 
 #include <cstdint>
@@ -53,12 +56,12 @@ struct DiagnoserConfig {
   /// default: the matrix is |S| x |TP| doubles the scoring loop otherwise
   /// never materializes.
   bool capture_phi = false;
-  /// Null (default): each diagnose() call scores through a call-local
-  /// column cache (signature_matrix.h).  That is what the experiment does,
-  /// because every trial draws its own pattern set.  Set it only when
-  /// several chips share one pattern set: their suspect columns are then
-  /// built once per (circuit, clk, pattern) and reused, with bit-identical
-  /// results.  It must have been built against the same simulator, clk and
+  /// Null (default): each diagnose() call extracts and scores through a
+  /// call-local cache (signature_matrix.h).  That is what the experiment
+  /// does, because every trial draws its own pattern set.  Set it only
+  /// when several chips share one pattern set: their cone rows and suspect
+  /// columns are then built once per (circuit, clk, pattern) and reused,
+  /// with bit-identical results.  It must have been built against the same simulator, clk and
   /// match mode; diagnose() throws on a clk/match mismatch.
   const SignatureCache* cache = nullptr;
   /// Ignored: collapse is always on.  Kept only because perfbench sets it.
@@ -92,8 +95,12 @@ struct DiagnosisResult {
   std::size_t mc_samples = 0;
 
   /// Suspects sorted best-first under method m (Algorithm E.1 step 8 /
-  /// F.1 revised step 8).
+  /// F.1 revised step 8): by ranking key, ties in suspect order.
   std::vector<RankedSuspect> ranked(Method m) const;
+
+  /// Positions in `suspects` of the first min(k, |S|) entries of
+  /// ranked(m) (all of them for k = 0), without ordering the rest.
+  std::vector<std::size_t> top(Method m, std::size_t k) const;
 
   /// True when `arc` is among the top-K candidates under method m (the
   /// paper's success criterion; ties are resolved pessimistically: a tied
@@ -101,13 +108,17 @@ struct DiagnosisResult {
   bool hit_within(Method m, netlist::ArcId arc, std::size_t k) const;
 };
 
-/// Algorithm E.1 step 1's selection, shared by both extraction paths:
-/// every arc with nonzero support (the number of failing (output, pattern)
-/// cells whose cone contains it), in arc order.  With max_suspects > 0 the
+/// Algorithm E.1 step 1 over cone rows, the one suspect extraction both
+/// the Diagnoser and the store engine run.  rows[c] is the cone of failing
+/// (output, pattern) cell c as an arc bitset of ceil(n_arcs / 64) words
+/// (TransitionGraph::cone_row's layout; bits past n_arcs are ignored).  An
+/// arc's support is the number of rows holding it; the suspects are every
+/// arc with nonzero support, in arc order.  With max_suspects > 0 the
 /// best-supported max_suspects arcs are kept (stable, so deterministic).
 /// Adds the suspect count to diag.suspects.
-std::vector<netlist::ArcId> select_suspects(
-    std::span<const std::uint32_t> support, std::size_t max_suspects);
+std::vector<netlist::ArcId> suspects_from_cone_rows(
+    std::span<const std::uint64_t* const> rows, std::size_t n_arcs,
+    std::size_t max_suspects);
 
 class Diagnoser {
  public:
@@ -119,7 +130,8 @@ class Diagnoser {
             const defect::DefectSizeModel& size_model,
             DiagnoserConfig config = {});
 
-  /// Step 1: the suspect set S for the observed behavior.
+  /// Step 1: the suspect set S for the observed behavior, from the cone
+  /// rows of DiagnoserConfig::cache (or of an extraction-only local cache).
   std::vector<netlist::ArcId> extract_suspects(
       std::span<const logicsim::PatternPair> patterns,
       const BehaviorMatrix& B) const;
@@ -135,6 +147,12 @@ class Diagnoser {
   const timing::DynamicTimingSimulator* sim_;
   const logicsim::BitSimulator* logic_sim_;
   const netlist::Levelization* lev_;
+  /// Step 1 over `cache`'s cone rows of B's failing cells.
+  std::vector<netlist::ArcId> extract_suspects(
+      const SignatureCache& cache,
+      std::span<const logicsim::PatternPair> patterns,
+      const BehaviorMatrix& B) const;
+
   const defect::DefectSizeModel* size_model_;
   DiagnoserConfig config_;
 };

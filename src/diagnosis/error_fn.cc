@@ -126,41 +126,45 @@ namespace {
 constexpr double kLogFloor = 1e-300;
 }  // namespace
 
-void ScoreAccumulator::add_phi(double phi_j) {
-  sum_ += phi_j;
-  sq_sum_ += (1.0 - phi_j) * (1.0 - phi_j);
-  log1m_sum_ += std::log1p(-std::min(phi_j, 1.0 - 1e-16));
-  logphi_sum_ += std::log(std::max(phi_j, kLogFloor));
+// Out of line on purpose: the terms reach every caller as stored doubles,
+// so no caller's compiler can fuse a term into its sum differently.
+PhiTerms PhiTerms::of(double phi) {
+  PhiTerms t;
+  t.phi = phi;
+  t.sq = (1.0 - phi) * (1.0 - phi);
+  t.log1m = std::log1p(-std::min(phi, 1.0 - 1e-16));
+  t.logphi = std::log(std::max(phi, kLogFloor));
+  return t;
 }
 
-double ScoreAccumulator::finish(std::size_t n_patterns) const {
-  switch (method_) {
+double PhiSums::finish(Method m, std::size_t n_patterns) const {
+  switch (m) {
     case Method::kSimI:
-      return 1.0 - std::exp(log1m_sum_);
+      return 1.0 - std::exp(log1m_sum);
     case Method::kSimII:
-      return n_patterns == 0 ? 0.0 : sum_ / static_cast<double>(n_patterns);
+      return n_patterns == 0 ? 0.0 : sum / static_cast<double>(n_patterns);
     case Method::kSimIII:
-      return std::exp(logphi_sum_);
+      return std::exp(logphi_sum);
     case Method::kRev:
-      return sq_sum_;
+      return sq_sum;
   }
   return 0.0;
 }
 
-double ScoreAccumulator::ranking_key(std::size_t n_patterns) const {
-  switch (method_) {
+double PhiSums::ranking_key(Method m, std::size_t n_patterns) const {
+  switch (m) {
     case Method::kSimI:
       // Maximizing 1 - prod(1 - phi) == minimizing sum log(1 - phi).
-      return -log1m_sum_;
+      return -log1m_sum;
     case Method::kSimII:
-      return n_patterns == 0 ? 0.0 : sum_ / static_cast<double>(n_patterns);
+      return n_patterns == 0 ? 0.0 : sum / static_cast<double>(n_patterns);
     case Method::kSimIII:
       // Maximizing prod phi == maximizing sum log phi (floored, so k
       // zero-phi patterns cost k * log(floor) - strictly worse than any
       // suspect with fewer zeros).
-      return logphi_sum_;
+      return logphi_sum;
     case Method::kRev:
-      return sq_sum_;
+      return sq_sum;
   }
   return 0.0;
 }

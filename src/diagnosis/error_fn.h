@@ -65,39 +65,77 @@ class DiagnosisErrorFn {
 /// Factory for the built-in functions.
 std::unique_ptr<DiagnosisErrorFn> make_error_fn(Method m);
 
-/// Applies `fn` incrementally: the diagnoser accumulates phi values one
-/// pattern at a time without storing the full phi matrix.  Accumulator
-/// semantics per method are kept inside this class.
+/// What one phi value contributes to a suspect's sums, for every method
+/// at once: the terms depend on phi alone, so the scoring loop computes
+/// them once per distinct column and every suspect holding that column
+/// adds the same four doubles.
+struct PhiTerms {
+  double phi = 0.0;     ///< phi                          (Method II)
+  double sq = 0.0;      ///< (1 - phi)^2                  (Alg_rev)
+  double log1m = 0.0;   ///< log1p(-min(phi, 1 - 1e-16))  (Method I)
+  double logphi = 0.0;  ///< log(max(phi, 1e-300))        (Method III)
+
+  static PhiTerms of(double phi);
+};
+
+/// One suspect's method-free sums over its patterns' PhiTerms, added in
+/// pattern order; every method's score and ranking key is read from them.
 ///
 /// phi values are products over all primary outputs and can be far below
 /// double's representable range once |O| is large; the products in Methods
 /// I and III then underflow (e.g. 1 - prod(1 - phi) evaluates to exactly 0
 /// for EVERY suspect, collapsing the ranking to declaration order).  The
-/// accumulator therefore also tracks log-domain statistics and exposes an
+/// sums therefore also track log-domain statistics and expose an
 /// order-equivalent, underflow-safe ranking_key(); finish() still reports
 /// the probability-domain score of the paper's formulas.
-class ScoreAccumulator {
- public:
-  explicit ScoreAccumulator(Method m);
+struct PhiSums {
+  double sum = 0.0;         ///< sum phi
+  double sq_sum = 0.0;      ///< sum (1 - phi)^2
+  double log1m_sum = 0.0;   ///< sum log(1 - phi)
+  double logphi_sum = 0.0;  ///< sum log(max(phi, 1e-300))
 
-  void add_phi(double phi_j);
+  void add(const PhiTerms& t) {
+    sum += t.phi;
+    sq_sum += t.sq;
+    log1m_sum += t.log1m;
+    logphi_sum += t.logphi;
+  }
 
-  /// The paper's probability-domain score (may underflow for I/III).
-  double finish(std::size_t n_patterns) const;
+  /// The paper's probability-domain score under `m` (may underflow for
+  /// I/III).
+  double finish(Method m, std::size_t n_patterns) const;
 
   /// Monotone surrogate of finish() computed in log space; always finite
   /// and strictly order-preserving.  Direction matches the method
   /// (ranks_better).
-  double ranking_key(std::size_t n_patterns) const;
+  double ranking_key(Method m, std::size_t n_patterns) const;
+};
+
+/// Applies one method incrementally: PhiSums bound to a method, for
+/// callers that score phi by phi (the reference scorers, the explanation
+/// engine's score bounds).  Its results equal the scoring loop's bit for
+/// bit: both add PhiTerms::of(phi) in pattern order.
+class ScoreAccumulator {
+ public:
+  explicit ScoreAccumulator(Method m);
+
+  void add_phi(double phi_j) { sums_.add(PhiTerms::of(phi_j)); }
+
+  /// The paper's probability-domain score (may underflow for I/III).
+  double finish(std::size_t n_patterns) const {
+    return sums_.finish(method_, n_patterns);
+  }
+
+  /// See PhiSums::ranking_key.
+  double ranking_key(std::size_t n_patterns) const {
+    return sums_.ranking_key(method_, n_patterns);
+  }
 
   Method method() const { return method_; }
 
  private:
   Method method_;
-  double sum_ = 0.0;        ///< sum phi                    (Method II)
-  double sq_sum_ = 0.0;     ///< sum (1 - phi)^2            (Alg_rev)
-  double log1m_sum_ = 0.0;  ///< sum log(1 - phi)           (Method I)
-  double logphi_sum_ = 0.0; ///< sum log(max(phi, 1e-300))  (Method III)
+  PhiSums sums_;
 };
 
 /// True when `a` ranks strictly better than `b` under method `m` (applies

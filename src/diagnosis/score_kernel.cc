@@ -105,16 +105,13 @@ void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
   if (capture_phi) {
     result.phi.assign(n_suspects, std::vector<double>(n_patterns, 0.0));
   }
-  // One accumulator per (method, suspect), filled pattern by pattern.
-  std::vector<std::vector<ScoreAccumulator>> acc;
-  acc.reserve(result.methods.size());
-  for (const Method m : result.methods) {
-    acc.emplace_back(n_suspects, ScoreAccumulator(m));
-  }
+  // One method-free sum set per suspect, filled pattern by pattern.
+  std::vector<PhiSums> sums(n_suspects);
 
   std::vector<const double*> cols;
   std::vector<const double*> own;  // the columns not shared, compacted
   std::vector<double> own_phi;
+  std::vector<PhiTerms> own_terms;
   PackedBColumn b;
   for (std::size_t j = 0; j < n_patterns; ++j) {
     SDDD_SPAN(span, "diag.kernel.pattern");
@@ -136,28 +133,39 @@ void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
       const obs::ScopedNsTimer phi_timer(kernel_phi_ns_counter());
       // phi_block is per-column independent, so compaction changes no
       // value: a shared suspect gets exactly the phi its own (bit-equal)
-      // column would have produced.
-      double shared_phi = 0.0;
-      if (any_shared) phi_block(&shared, 1, n_outputs, b, &shared_phi);
+      // column would have produced, and its terms are those phi's terms.
+      PhiTerms shared_terms;
+      if (any_shared) {
+        double shared_phi = 0.0;
+        phi_block(&shared, 1, n_outputs, b, &shared_phi);
+        shared_terms = PhiTerms::of(shared_phi);
+      }
       own_phi.resize(own.size());
       phi_block(own.data(), own.size(), n_outputs, b, own_phi.data());
+      own_terms.resize(own.size());
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        own_terms[i] = PhiTerms::of(own_phi[i]);
+      }
       std::size_t next = 0;
       for (std::size_t s = 0; s < n_suspects; ++s) {
-        const double p = cols[s] != shared ? own_phi[next++] : shared_phi;
-        if (capture_phi) result.phi[s][j] = p;
-        for (auto& method_acc : acc) method_acc[s].add_phi(p);
+        const PhiTerms& t =
+            cols[s] != shared ? own_terms[next++] : shared_terms;
+        if (capture_phi) result.phi[s][j] = t.phi;
+        sums[s].add(t);
       }
     }
     note_phi_evals(own.size() + (any_shared ? 1 : 0));
     note_kernel_pattern(own.size());
   }
 
-  result.scores.assign(acc.size(), std::vector<double>(n_suspects));
-  result.keys.assign(acc.size(), std::vector<double>(n_suspects));
-  for (std::size_t m = 0; m < acc.size(); ++m) {
+  const std::size_t n_methods = result.methods.size();
+  result.scores.assign(n_methods, std::vector<double>(n_suspects));
+  result.keys.assign(n_methods, std::vector<double>(n_suspects));
+  for (std::size_t m = 0; m < n_methods; ++m) {
+    const Method method = result.methods[m];
     for (std::size_t s = 0; s < n_suspects; ++s) {
-      result.scores[m][s] = acc[m][s].finish(n_patterns);
-      result.keys[m][s] = acc[m][s].ranking_key(n_patterns);
+      result.scores[m][s] = sums[s].finish(method, n_patterns);
+      result.keys[m][s] = sums[s].ranking_key(method, n_patterns);
     }
   }
   obs::Recorder::instance().record(obs::EventKind::kDiagnose, "",

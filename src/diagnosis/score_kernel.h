@@ -2,12 +2,17 @@
 // whole suspect block against one chip's bit-packed behavior column.
 //
 // score_suspects() is Algorithm E.1 steps 5-8 (F.1 for Alg_rev), written
-// once.  Per pattern it packs B's column, asks a ColumnSource for every
-// suspect's column, evaluates phi once per distinct column and feeds each
-// suspect's ScoreAccumulators in pattern order.  Two sources exist: the
-// SignatureCache (Diagnoser::diagnose, columns built on demand from the
-// dictionary simulator) and the mmapped dictionary store
-// (StoreQueryEngine::diagnose).  The loop runs on the caller's thread.
+// once.  Per pattern it packs B's column and asks a ColumnSource for every
+// suspect's column.  Both sources hand one shared column to every suspect
+// whose column equals the pattern's baseline bit for bit (unsensitized, or
+// sensitized with E == M), and its own column to the rest, so the loop
+// evaluates phi and its PhiTerms (error_fn.h) once for the shared column
+// and once per own column.  Each suspect keeps one method-free PhiSums and
+// adds the cached terms in pattern order; every method's score and key is
+// read from those sums at the end.  Two sources exist: the SignatureCache
+// (Diagnoser::diagnose, columns built on demand from the dictionary
+// simulator) and the mmapped dictionary store (StoreQueryEngine::diagnose).
+// The loop runs on the caller's thread.
 //
 // The scalar reference is phi() in error_fn.h: per suspect, a product over
 // primary outputs k of (b_k ? s_k : 1 - s_k).  The kernel evaluates
@@ -76,9 +81,10 @@ class ColumnSource {
 
   /// Writes the column of suspects[i] under pattern `j` into out[i]: |O|
   /// doubles that stay valid while the source lives.  Returns the column
-  /// shared by every suspect the pattern does not sensitize (their E
-  /// column is the baseline M column, their S column is zero), or nullptr
-  /// when the source hands each suspect its own column.
+  /// shared by every suspect whose column equals the pattern's baseline
+  /// bit for bit (the M column under E matching, zeros under S) - every
+  /// unsensitized suspect and every sensitized one with E == M - or
+  /// nullptr when the source hands each suspect its own column.
   virtual const double* columns(std::size_t j,
                                 std::span<const netlist::ArcId> suspects,
                                 std::vector<const double*>& out) const = 0;
@@ -88,8 +94,10 @@ class ColumnSource {
 /// steps 5-8, F.1 for Alg_rev) and fills result.scores, result.keys and,
 /// with `capture_phi`, result.phi.  The suspects holding the source's
 /// shared column get one phi evaluation between them.  Every suspect's
-/// accumulators see its phi values in pattern order, so the result is
-/// bit-identical whichever source supplies the (equal) columns.
+/// sums see the terms of its phi values in pattern order - the additions
+/// a ScoreAccumulator per method would make - so the result is
+/// bit-identical to the reference scorer whichever source supplies the
+/// (equal) columns.
 void score_suspects(const ColumnSource& source, const BehaviorMatrix& B,
                     bool capture_phi, DiagnosisResult& result);
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <new>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/codec.h"
 #include "obs/metrics.h"
@@ -21,6 +22,12 @@ obs::Counter& sig_cache_hits_counter() {
 obs::Counter& sig_cache_misses_counter() {
   static obs::Counter& c = obs::MetricsRegistry::instance().register_counter(
       "dict.sig_cache.misses");
+  return c;
+}
+
+obs::Counter& sig_cache_shared_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().register_counter(
+      "dict.sig_cache.shared");
   return c;
 }
 
@@ -61,6 +68,10 @@ bool same_pattern(const logicsim::PatternPair& a,
 }
 
 }  // namespace
+
+bool same_column_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
 
 void SignatureCache::AlignedFree::operator()(double* p) const noexcept {
   ::operator delete[](p, std::align_val_t{64});
@@ -127,6 +138,10 @@ void SignatureCache::fill_collapse(Entry& entry,
     cs->baseline.assign(slice.m_column().size(), 0.0);
   }
   n_outputs_.store(cs->baseline.size(), std::memory_order_release);
+  entry.slots.resize(nl.arc_count());
+  for (netlist::ArcId a = 0; a < nl.arc_count(); ++a) {
+    entry.slots[a] = cs->active[a] != 0 ? nullptr : cs->baseline.data();
+  }
   entry.collapse = std::move(cs);
 }
 
@@ -161,43 +176,33 @@ const double* SignatureCache::columns(
   const CollapseSlice& cs = *entry.collapse;
   const double* shared = cs.baseline.data();
 
-  // First pass: unsensitized suspects take the shared baseline column
-  // (no lookup, no build), cached ones their column; collect the rest.
+  // First pass: every suspect whose slot is set takes it (the shared
+  // column or its own); collect the unbuilt sensitized ones.
   std::vector<std::size_t> missing;
   std::uint64_t hits = 0;
   for (std::size_t i = 0; i < suspects.size(); ++i) {
-    if (cs.active[suspects[i]] == 0) {
-      out[i] = shared;
-      continue;
-    }
-    const auto it = entry.index.find(suspects[i]);
-    if (it != entry.index.end()) {
-      out[i] = entry.cols[it->second].get();
-      ++hits;
-    } else {
-      out[i] = nullptr;
+    const netlist::ArcId suspect = suspects[i];
+    out[i] = entry.slots[suspect];
+    if (out[i] == nullptr) {
       missing.push_back(i);
+    } else if (cs.active[suspect] != 0) {
+      ++hits;
     }
   }
-  if (hits != 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    sig_cache_hits_counter().add(hits);
-  }
-  if (missing.empty()) return shared;
 
-  // Build the missing columns through the validated dictionary path.
+  // Build the missing columns through the validated dictionary path, and
+  // store only those that differ from the shared column.
   std::vector<double> scratch;
   std::uint64_t built = 0;
+  std::uint64_t built_shared = 0;
   std::uint64_t built_bytes = 0;
   for (const std::size_t i : missing) {
     const netlist::ArcId suspect = suspects[i];
     // A suspect may repeat within one call; the second occurrence is now
-    // a hit on the column the first one just built.
-    const auto it = entry.index.find(suspect);
-    if (it != entry.index.end()) {
-      out[i] = entry.cols[it->second].get();
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      sig_cache_hits_counter().add(1);
+    // a hit on the slot the first one just filled.
+    if (entry.slots[suspect] != nullptr) {
+      out[i] = entry.slots[suspect];
+      ++hits;
       continue;
     }
     const std::span<const double> sizes = sizes_for(suspect);
@@ -206,35 +211,68 @@ const double* SignatureCache::columns(
     } else {
       pattern_slice().signature_column_into(suspect, sizes, scratch);
     }
-    const std::size_t n = scratch.size();
-    Column col(static_cast<double*>(
-        ::operator new[](n * sizeof(double), std::align_val_t{64})));
-    if (n != 0) std::memcpy(col.get(), scratch.data(), n * sizeof(double));
-    entry.index.emplace(suspect, entry.cols.size());
-    entry.cols.push_back(std::move(col));
-    out[i] = entry.cols.back().get();
     ++built;
-    built_bytes += n * sizeof(double);
+    const std::size_t n = scratch.size();
+    if (same_column_bits(scratch.data(), shared, n)) {
+      entry.slots[suspect] = shared;
+      ++built_shared;
+    } else {
+      Column col(static_cast<double*>(
+          ::operator new[](n * sizeof(double), std::align_val_t{64})));
+      std::memcpy(col.get(), scratch.data(), n * sizeof(double));
+      entry.cols.push_back(std::move(col));
+      entry.slots[suspect] = entry.cols.back().get();
+      built_bytes += n * sizeof(double);
+    }
+    out[i] = entry.slots[suspect];
   }
+  if (hits != 0) {
+    hits_.fetch_add(hits, std::memory_order_relaxed);
+    sig_cache_hits_counter().add(hits);
+  }
+  if (built == 0) return shared;
   misses_.fetch_add(built, std::memory_order_relaxed);
   sig_cache_misses_counter().add(built);
+  shared_.fetch_add(built_shared, std::memory_order_relaxed);
+  sig_cache_shared_counter().add(built_shared);
   bytes_.fetch_add(built_bytes, std::memory_order_relaxed);
   sig_cache_bytes_counter().add(built_bytes);
-  if (built != 0) {
-    // One breadcrumb per miss *batch*, not per column.  When a cache is
-    // shared across chips, which caller builds a column is
-    // schedule-dependent, so these events are excluded from the
-    // deterministic-merge contract (DESIGN.md section 14).
-    obs::Recorder::instance().record(obs::EventKind::kCacheMiss, "sig", built,
-                                     built_bytes);
-  }
+  // One breadcrumb per miss *batch*, not per column.  When a cache is
+  // shared across chips, which caller builds a column is
+  // schedule-dependent, so these events are excluded from the
+  // deterministic-merge contract (DESIGN.md section 14).
+  obs::Recorder::instance().record(obs::EventKind::kCacheMiss, "sig", built,
+                                   built_bytes);
   return shared;
+}
+
+const std::uint64_t* SignatureCache::cone_row(
+    const logicsim::PatternPair& pattern, std::size_t output) const {
+  const auto& nl = logic_sim_->netlist();
+  if (output >= nl.outputs().size()) {
+    throw std::out_of_range("SignatureCache::cone_row: no such output");
+  }
+  Entry& entry = entry_for(pattern);
+  const std::lock_guard<std::mutex> lock(entry.mu);
+  if (entry.tg == nullptr) {
+    entry.tg = std::make_unique<paths::TransitionGraph>(*logic_sim_, *lev_,
+                                                        pattern);
+    entry.cone_rows.resize(nl.outputs().size());
+  }
+  auto& row = entry.cone_rows[output];
+  if (row == nullptr) {
+    const std::size_t words = entry.tg->cone_row_words();
+    row = std::make_unique<std::uint64_t[]>(words);
+    entry.tg->cone_row(nl.outputs()[output], {row.get(), words});
+  }
+  return row.get();
 }
 
 SignatureCache::Stats SignatureCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
+  s.shared = shared_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
   return s;
 }

@@ -66,24 +66,24 @@ BitSimulator::BitSimulator(const netlist::Netlist& nl,
   // Gates of one level never read each other, so any order by level is a
   // valid sweep; grouping each level by cell type keeps the evaluation's
   // switch predictable.  A counting sort into (level, type) buckets.
+  // Every gate but an input is an op: constants are level-0 ops without
+  // fanins that evaluate to their value.
   constexpr std::size_t kTypes =
       static_cast<std::size_t>(CellType::kConst1) + 1;
   const auto bucket = [&](GateId g) {
     return lev.level(g) * kTypes + static_cast<std::size_t>(nl.gate(g).type);
   };
+  const auto is_op = [&](GateId g) {
+    return nl.gate(g).type != CellType::kInput;
+  };
   std::vector<std::uint32_t> next((lev.depth() + 1) * kTypes + 1, 0);
   for (const GateId g : lev.topo_order()) {
-    const CellType type = nl.gate(g).type;
-    if (is_combinational(type)) {
-      ++next[bucket(g) + 1];
-    } else if (type != CellType::kInput) {
-      program_.unevaluated.push_back(g);
-    }
+    if (is_op(g)) ++next[bucket(g) + 1];
   }
   for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
   std::vector<GateId> order(next.back());
   for (const GateId g : lev.topo_order()) {
-    if (is_combinational(nl.gate(g).type)) order[next[bucket(g)]++] = g;
+    if (is_op(g)) order[next[bucket(g)]++] = g;
   }
   program_.fanin_begin.push_back(0);
   for (const GateId g : order) {
@@ -108,7 +108,6 @@ void BitSimulator::simulate_into(std::span<const std::uint64_t> pi_words,
   for (std::size_t i = 0; i < pi_words.size(); ++i) {
     out[nl_->inputs()[i]] = pi_words[i];
   }
-  for (const GateId g : program_.unevaluated) out[g] = 0;
   const Program& p = program_;
   for (std::size_t op = 0; op < p.gates.size(); ++op) {
     const GateId* fanins = p.fanins.data() + p.fanin_begin[op];

@@ -66,14 +66,13 @@ class BitSimulator {
   /// The compiled sweep: op i evaluates gate `gates[i]` of type `types[i]`
   /// over fanins[fanin_begin[i] .. fanin_begin[i + 1]) (pin order).  Ops
   /// run by level, and by cell type within a level: a topological order.
-  /// Gates that are neither inputs nor ops (constants) are listed in
-  /// `unevaluated` and simulate as 0.
+  /// Every gate except the primary inputs is an op; a constant is one
+  /// without fanins and sweeps to all-zeros or all-ones.
   struct Program {
     std::vector<netlist::GateId> gates;
     std::vector<netlist::CellType> types;
     std::vector<std::uint32_t> fanin_begin;
     std::vector<netlist::GateId> fanins;
-    std::vector<netlist::GateId> unevaluated;
   };
   const Program& program() const { return program_; }
 

@@ -102,7 +102,7 @@ void TernarySimulator::simulate_into(std::span<const Tern> pi_values,
   std::vector<Tern> fanin_buf;
   for (const GateId g : lev_->topo_order()) {
     const Gate& gate = nl_->gate(g);
-    if (!is_combinational(gate.type)) continue;
+    if (gate.type == CellType::kInput) continue;  // constants evaluate
     fanin_buf.clear();
     for (const GateId f : gate.fanins) fanin_buf.push_back(values[f]);
     values[g] = eval_gate_tern(gate.type, fanin_buf);

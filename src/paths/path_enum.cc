@@ -210,16 +210,4 @@ std::vector<Path> enumerate_active_paths(const TransitionGraph& tg, GateId o,
   return out;
 }
 
-std::vector<bool> suspect_arcs_for_outputs(
-    const TransitionGraph& tg, std::span<const GateId> outputs) {
-  std::vector<bool> result(tg.netlist().arc_count(), false);
-  for (const GateId o : outputs) {
-    const auto cone = tg.cone_to_output(o);
-    for (std::size_t a = 0; a < cone.size(); ++a) {
-      if (cone[a]) result[a] = true;
-    }
-  }
-  return result;
-}
-
 }  // namespace sddd::paths

@@ -64,10 +64,4 @@ std::vector<Path> k_heaviest_paths_through(const netlist::Netlist& nl,
 std::vector<Path> enumerate_active_paths(const TransitionGraph& tg,
                                          netlist::GateId o, std::size_t limit);
 
-/// Convenience: all arcs that lie on at least one active path to a failing
-/// output, unioned over the given outputs.  This is the suspect universe of
-/// Algorithm E.1 step 1 for one pattern.
-std::vector<bool> suspect_arcs_for_outputs(
-    const TransitionGraph& tg, std::span<const netlist::GateId> outputs);
-
 }  // namespace sddd::paths

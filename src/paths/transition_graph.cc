@@ -1,6 +1,7 @@
 #include "paths/transition_graph.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -68,8 +69,21 @@ bool TransitionGraph::any_output_toggles() const {
 }
 
 std::vector<bool> TransitionGraph::cone_to_output(GateId o) const {
+  std::vector<std::uint64_t> row(cone_row_words());
+  cone_row(o, row);
   std::vector<bool> in_cone(nl_->arc_count(), false);
-  if (!toggles(o)) return in_cone;
+  for (ArcId a = 0; a < in_cone.size(); ++a) {
+    in_cone[a] = ((row[a >> 6] >> (a & 63)) & 1U) != 0;
+  }
+  return in_cone;
+}
+
+void TransitionGraph::cone_row(GateId o, std::span<std::uint64_t> row) const {
+  if (row.size() != cone_row_words()) {
+    throw std::invalid_argument("TransitionGraph::cone_row: row size mismatch");
+  }
+  std::fill(row.begin(), row.end(), 0);
+  if (!toggles(o)) return;
   std::vector<bool> visited(nl_->gate_count(), false);
   std::vector<GateId> stack = {o};
   visited[o] = true;
@@ -77,7 +91,7 @@ std::vector<bool> TransitionGraph::cone_to_output(GateId o) const {
     const GateId g = stack.back();
     stack.pop_back();
     for (const ArcId a : active_fanins(g)) {
-      in_cone[a] = true;
+      row[a >> 6] |= std::uint64_t{1} << (a & 63);
       const auto& arc = nl_->arc(a);
       const GateId f = nl_->gate(arc.gate).fanins[arc.pin];
       if (!visited[f]) {
@@ -86,7 +100,6 @@ std::vector<bool> TransitionGraph::cone_to_output(GateId o) const {
       }
     }
   }
-  return in_cone;
 }
 
 std::vector<GateId> TransitionGraph::forward_cone(GateId g) const {

@@ -25,8 +25,9 @@
 // The rules themselves are computed 64 patterns at a time by
 // TransitionWords (transition_words.h); a TransitionGraph is one lane of
 // that kernel, copied out with its active fanin arcs stored flat (CSR) for
-// the per-pattern walks of the timing simulator, suspect extraction and
-// path enumeration.  Each construction counts one `paths.tg.builds`.
+// the per-pattern walks of the timing simulator, the cone rows of suspect
+// extraction and path enumeration.  Each construction counts one
+// `paths.tg.builds`.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,15 @@ class TransitionGraph {
   /// These are the arcs whose delay can influence Ar(o) - the suspect
   /// universe of Algorithm E.1 step 1 for a failing (o, v) pair.
   std::vector<bool> cone_to_output(netlist::GateId o) const;
+
+  /// Words per cone row: ceil(arc_count / 64).
+  std::size_t cone_row_words() const { return (active_.size() + 63) / 64; }
+
+  /// cone_to_output(o) as an arc bitset: bit a of row[a / 64] is set when
+  /// arc a is in the cone, and the bits past the last arc are zero - the
+  /// layout of the dictionary store's "cones" section.  `row` must hold
+  /// cone_row_words() words; every word is overwritten.
+  void cone_row(netlist::GateId o, std::span<std::uint64_t> row) const;
 
   /// Gates downstream of gate `g` (inclusive) reachable over active arcs:
   /// the forward cone a defect at g can influence, in topological order.

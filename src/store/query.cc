@@ -1,7 +1,8 @@
 #include "store/query.h"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <unordered_map>
 
 #include "diagnosis/error_fn.h"
 #include "diagnosis/score_kernel.h"
@@ -43,18 +44,14 @@ class StoreColumns final : public diagnosis::ColumnSource {
 std::vector<ArcId> StoreQueryEngine::extract_suspects(
     const diagnosis::BehaviorMatrix& B) const {
   const DictionaryStore& st = *store_;
-  const std::size_t n_arcs = st.n_arcs();
-  std::vector<std::uint32_t> support(n_arcs, 0);
+  std::vector<const std::uint64_t*> rows;
   for (const std::size_t j : B.failing_patterns()) {
     for (std::size_t i = 0; i < st.n_outputs(); ++i) {
-      if (!B.at(i, j)) continue;
-      const std::uint64_t* row = st.cone_row(j, i);
-      for (ArcId a = 0; a < n_arcs; ++a) {
-        if ((row[a >> 6] >> (a & 63)) & 1U) ++support[a];
-      }
+      if (B.at(i, j)) rows.push_back(st.cone_row(j, i));
     }
   }
-  return diagnosis::select_suspects(support, st.max_suspects());
+  return diagnosis::suspects_from_cone_rows(rows, st.n_arcs(),
+                                            st.max_suspects());
 }
 
 diagnosis::DiagnosisResult StoreQueryEngine::diagnose(
@@ -162,6 +159,15 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
   static constexpr Method kMethods[] = {Method::kSimI, Method::kSimII,
                                         Method::kSimIII, Method::kRev};
   const DictionaryStore& st = engine.store();
+  // A response repeats a few hundred distinct phi doubles tens of
+  // thousands of times: spell each one once, keyed by its bits.
+  std::unordered_map<std::uint64_t, std::string> phi_text;
+  const auto spell_phi = [&phi_text](double v) -> const std::string& {
+    const auto [it, fresh] =
+        phi_text.try_emplace(std::bit_cast<std::uint64_t>(v));
+    if (fresh) it->second = obs::json_double(v);
+    return it->second;
+  };
   std::string out;
   out.append("{\"ok\":true,\"op\":\"diagnose\",\"run_id\":");
   obs::append_json_string(out, st.run_id());
@@ -171,6 +177,7 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
   out.append("\",\"mc_samples\":").append(std::to_string(st.mc_samples()));
   out.append(",\"n_patterns\":").append(std::to_string(st.n_patterns()));
   out.append(",\"chips\":[");
+  std::vector<std::size_t> reported;  // suspect positions
   for (std::size_t c = 0; c < chips.size(); ++c) {
     runtime::poll_cancellation();
     if (c > 0) out.push_back(',');
@@ -182,43 +189,43 @@ std::string diagnose_batch_json(const StoreQueryEngine& engine,
     out.append(",\"n_suspects\":")
         .append(std::to_string(result.suspects.size()));
     out.append(",\"methods\":{");
-    std::set<ArcId> reported;
+    reported.clear();
     for (std::size_t m = 0; m < std::size(kMethods); ++m) {
       if (m > 0) out.push_back(',');
       obs::append_json_string(out, diagnosis::method_name(kMethods[m]));
       out.append(":[");
-      const auto ranked = result.ranked(kMethods[m]);
-      const std::size_t limit =
-          top_k == 0 ? ranked.size() : std::min(top_k, ranked.size());
-      for (std::size_t r = 0; r < limit; ++r) {
+      const std::vector<std::size_t> best = result.top(kMethods[m], top_k);
+      for (std::size_t r = 0; r < best.size(); ++r) {
         if (r > 0) out.push_back(',');
-        reported.insert(ranked[r].arc);
+        const std::size_t s = best[r];
+        reported.push_back(s);
         // The ranking key is reported next to the probability-domain
         // score so byte-compared responses also pin the sort surrogate.
-        const auto s = static_cast<std::size_t>(
-            std::find(result.suspects.begin(), result.suspects.end(),
-                      ranked[r].arc) -
-            result.suspects.begin());
-        out.append("{\"arc\":").append(std::to_string(ranked[r].arc));
-        out.append(",\"score\":").append(obs::json_double(ranked[r].score));
+        out.append("{\"arc\":").append(std::to_string(result.suspects[s]));
+        out.append(",\"score\":")
+            .append(obs::json_double(result.scores[m][s]));
         out.append(",\"key\":").append(obs::json_double(result.keys[m][s]));
         out.push_back('}');
       }
       out.push_back(']');
     }
+    // Every reported arc once, ascending by arc id.
+    std::sort(reported.begin(), reported.end(),
+              [&](std::size_t a, std::size_t b) {
+                return result.suspects[a] < result.suspects[b];
+              });
+    reported.erase(std::unique(reported.begin(), reported.end()),
+                   reported.end());
     out.append("},\"phi\":{");
     bool first_arc = true;
-    for (const ArcId a : reported) {
+    for (const std::size_t s : reported) {
       if (!first_arc) out.push_back(',');
       first_arc = false;
-      const auto s = static_cast<std::size_t>(
-          std::find(result.suspects.begin(), result.suspects.end(), a) -
-          result.suspects.begin());
-      obs::append_json_string(out, std::to_string(a));
+      obs::append_json_string(out, std::to_string(result.suspects[s]));
       out.append(":[");
       for (std::size_t j = 0; j < result.phi[s].size(); ++j) {
         if (j > 0) out.push_back(',');
-        out.append(obs::json_double(result.phi[s][j]));
+        out.append(spell_phi(result.phi[s][j]));
       }
       out.append("]");
     }

@@ -1,8 +1,9 @@
 // query.h - Diagnosing chips straight out of a memory-mapped store.
 //
 // StoreQueryEngine is the Diagnoser re-rooted onto DictionaryStore:
-// suspect extraction walks the stored per-(pattern, output) cone bitsets
-// and selects through the diagnoser's select_suspects(), and scoring is
+// suspect extraction hands the stored per-(pattern, output) cone rows of
+// the failing cells to the diagnoser's suspects_from_cone_rows(), and
+// scoring is
 // the diagnoser's own loop, diagnosis::score_suspects(), with the stored
 // E (or S) columns as its column source and the pattern's M (or zero)
 // column shared by every suspect the store holds no column for.  Because
@@ -38,9 +39,9 @@ class StoreQueryEngine {
 
   const DictionaryStore& store() const { return *store_; }
 
-  /// Algorithm E.1 step 1 from the stored cone bitsets; identical suspect
-  /// sets (same support counts, same max_suspects cap policy) as
-  /// Diagnoser::extract_suspects.
+  /// Algorithm E.1 step 1 from the stored cone rows, through the same
+  /// suspects_from_cone_rows() as Diagnoser::extract_suspects, so the two
+  /// suspect sets are identical.
   std::vector<netlist::ArcId> extract_suspects(
       const diagnosis::BehaviorMatrix& B) const;
 

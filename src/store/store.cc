@@ -17,6 +17,7 @@
 
 #include "atpg/diag_patterns.h"
 #include "diagnosis/dictionary.h"
+#include "diagnosis/signature_matrix.h"
 #include "eval/checkpoint.h"
 #include "eval/setup.h"
 #include "obs/atomic_file.h"
@@ -285,11 +286,7 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
     for (const double v : m) put_f64(&m_bytes, v);
     const paths::TransitionGraph& tg = slice.transition_graph();
     for (std::size_t i = 0; i < n_outputs; ++i) {
-      const auto cone = tg.cone_to_output(nl.outputs()[i]);
-      std::fill(cone_row.begin(), cone_row.end(), 0);
-      for (std::size_t a = 0; a < n_arcs; ++a) {
-        if (cone[a]) cone_row[a >> 6] |= 1ULL << (a & 63);
-      }
+      tg.cone_row(nl.outputs()[i], cone_row);
       for (const std::uint64_t w : cone_row) put_u64(&cone_bytes, w);
     }
 
@@ -304,8 +301,8 @@ std::string serialize_dictionary_store(const netlist::Netlist& nl,
           std::vector<double> col;
           for (std::size_t k = lo; k < hi; ++k) {
             slice.e_column_into(active[k], size_tables[active[k]], col);
-            differs[k] = std::memcmp(col.data(), m.data(),
-                                     n_outputs * sizeof(double)) != 0;
+            differs[k] = !diagnosis::same_column_bits(col.data(), m.data(),
+                                                      n_outputs);
             std::copy(col.begin(), col.end(),
                       e_cols.begin() +
                           static_cast<std::ptrdiff_t>(k * n_outputs));

@@ -9,6 +9,7 @@
 #include "netlist/iscas_catalog.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
+#include "paths/transition_words.h"
 #include "stats/rng.h"
 
 namespace sddd::logicsim {
@@ -63,6 +64,63 @@ TEST(BitSimulator, C17KnownVectors) {
   values = sim.simulate_single(ones);
   EXPECT_TRUE(values[nl.find("22")]);
   EXPECT_FALSE(values[nl.find("23")]);
+}
+
+// A tie cell simulates to its value in every simulator: VDD feeding an AND
+// and GND feeding an OR leave y = a, and the tie never toggles, so no arc
+// it drives is ever active.
+TEST(BitSimulator, ConstantsSimulateToTheirValue) {
+  struct Twin {
+    const char* text;
+    CellType tie;
+    CellType gate;
+  };
+  const Twin twins[] = {
+      {"INPUT(a)\nOUTPUT(y)\nk = VDD()\ny = AND(a, k)\n", CellType::kConst1,
+       CellType::kAnd},
+      {"INPUT(a)\nOUTPUT(y)\nk = GND()\ny = OR(a, k)\n", CellType::kConst0,
+       CellType::kOr},
+  };
+  for (const Twin& twin : twins) {
+    const Netlist nl = netlist::parse_bench_string(twin.text, "tie");
+    const Levelization lev(nl);
+    const BitSimulator sim(nl, lev);
+    const TernarySimulator tsim(nl, lev);
+    const GateId a = nl.inputs()[0];
+    const GateId y = nl.outputs()[0];
+    GateId k = 0;
+    for (GateId g = 0; g < nl.gate_count(); ++g) {
+      if (nl.gate(g).type == twin.tie) k = g;
+    }
+    ASSERT_EQ(nl.gate(k).type, twin.tie) << twin.text;
+    const bool tie_value = twin.tie == CellType::kConst1;
+    // Lane 0: a = 0, lane 1: a = 1.
+    const std::vector<std::uint64_t> pi = {0b10};
+    const auto words = sim.simulate(pi);
+    EXPECT_EQ(words[k], tie_value ? ~0ULL : 0ULL) << twin.text;
+    EXPECT_EQ(words[y] & 0b11, 0b10U) << twin.text;
+    EXPECT_EQ(eval_gate_words(twin.gate, std::vector<std::uint64_t>{
+                                             words[a], words[k]}),
+              words[y]);
+    for (const bool value : {false, true}) {
+      const auto tern = tsim.simulate(
+          std::vector<Tern>{value ? Tern::k1 : Tern::k0});
+      EXPECT_EQ(tern[k], tie_value ? Tern::k1 : Tern::k0) << twin.text;
+      EXPECT_EQ(tern[y], value ? Tern::k1 : Tern::k0) << twin.text;
+    }
+    // Pairs 0->1, 1->0 and 1->1 in lanes 0..2: y toggles with a, the tie
+    // never does, and only y's arc from a is ever active.
+    paths::TransitionWords tw(sim);
+    tw.simulate(std::vector<PatternPair>{
+        {{false}, {true}}, {{true}, {false}}, {{true}, {true}}});
+    EXPECT_EQ(tw.toggles(k), 0U) << twin.text;
+    EXPECT_EQ(tw.toggles(y), 0b011U) << twin.text;
+    for (std::uint32_t pin = 0; pin < 2; ++pin) {
+      const netlist::ArcId arc = nl.arc_base(y) + pin;
+      const bool from_tie = nl.gate(y).fanins[pin] == k;
+      EXPECT_EQ(tw.active(arc), from_tie ? 0U : 0b011U) << twin.text;
+    }
+  }
 }
 
 TEST(BitSimulator, RejectsSequentialNetlists) {

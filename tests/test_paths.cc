@@ -11,6 +11,7 @@
 
 #include "activity_oracle.h"
 #include "atpg/pdf_atpg.h"
+#include "diagnosis/diagnoser.h"
 #include "logicsim/bitsim.h"
 #include "netlist/bench_io.h"
 #include "netlist/iscas_catalog.h"
@@ -319,16 +320,20 @@ TEST(EnumerateActivePaths, AllArcsActiveAndBounded) {
 }
 
 TEST(SuspectArcs, UnionOfConesMatchesManualCheck) {
+  // The suspect universe of one failing cell: Algorithm E.1 step 1 over
+  // the output's cone row.
   const Chain c;
   const Levelization lev(c.nl);
   const BitSimulator sim(c.nl, lev);
   const PatternPair pp{{false, true}, {true, true}};
   const TransitionGraph tg(sim, lev, pp);
-  const std::vector<GateId> outs = {c.g2};
-  const auto suspects = suspect_arcs_for_outputs(tg, outs);
-  EXPECT_TRUE(suspects[c.nl.arc_of(c.g1, 0)]);
-  EXPECT_TRUE(suspects[c.nl.arc_of(c.g2, 0)]);
-  EXPECT_FALSE(suspects[c.nl.arc_of(c.g1, 1)]);
+  std::vector<std::uint64_t> row(tg.cone_row_words());
+  tg.cone_row(c.g2, row);
+  const std::uint64_t* rows[] = {row.data()};
+  const auto suspects =
+      diagnosis::suspects_from_cone_rows(rows, c.nl.arc_count(), 0);
+  EXPECT_EQ(suspects, (std::vector<ArcId>{c.nl.arc_of(c.g1, 0),
+                                          c.nl.arc_of(c.g2, 0)}));
 }
 
 // ---------------------------------------------------------------------------

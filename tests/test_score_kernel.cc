@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "diagnosis/error_fn.h"
 #include "diagnosis/score_kernel.h"
 #include "diagnosis/signature_matrix.h"
+#include "extract_oracle.h"
 #include "logicsim/bitsim.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
@@ -207,11 +209,11 @@ struct KernelFixture {
     return diagnoser(cache, match_e).diagnose(patterns, B, methods, clk);
   }
 
-  /// The reference scores of B's suspects.
+  /// The reference suspects of B and their reference scores.
   DiagnosisResult oracle(const BehaviorMatrix& B, bool match_e = true) const {
     return test_oracle::oracle_diagnosis(
         dict_sim, sim, lev, size_model, patterns, B,
-        diagnoser(nullptr).extract_suspects(patterns, B), methods, clk,
+        test_oracle::oracle_suspects(sim, lev, patterns, B, 0), methods, clk,
         match_e);
   }
 };
@@ -363,24 +365,35 @@ TEST(Diagnoser, RejectsBehaviorOfWrongShape) {
 TEST(SignatureCache, NoColumnBuiltForUnsensitizedSuspects) {
   // Collapse: a suspect a pattern does not sensitize takes the pattern's
   // shared baseline column; the cache builds (and counts) only the
-  // sensitized ones, and the loop evaluates one phi for all holders of
-  // the shared column.
+  // sensitized ones, keeps only those that differ from the baseline, and
+  // the loop evaluates one phi for all holders of the shared column plus
+  // one per differing column.
   const KernelFixture f;
   const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
                              true);
   const auto B = f.failing_chip(static_cast<ArcId>(f.nl.arc_count() / 2), 0);
   const auto suspects = f.diagnoser(nullptr).extract_suspects(f.patterns, B);
   std::uint64_t sensitized = 0;
+  std::uint64_t differing = 0;
   std::uint64_t want_evals = 0;
   for (const PatternPair& p : f.patterns) {
-    const auto& active = cache.collapse_slice(p).active;
+    const auto& cs = cache.collapse_slice(p);
+    const PatternSlice slice(f.dict_sim, f.sim, f.lev, p, f.clk);
     std::uint64_t on = 0;
-    for (const ArcId a : suspects) on += active[a] != 0 ? 1 : 0;
+    std::uint64_t own = 0;
+    for (const ArcId a : suspects) {
+      if (cs.active[a] == 0) continue;
+      ++on;
+      const auto e = slice.e_column(a, f.size_model);
+      own += same_column_bits(e.data(), cs.baseline.data(), e.size()) ? 0 : 1;
+    }
     sensitized += on;
-    want_evals += on + (on < suspects.size() ? 1 : 0);
+    differing += own;
+    want_evals += own + (own < suspects.size() ? 1 : 0);
   }
   const std::uint64_t all_pairs = suspects.size() * f.patterns.size();
   ASSERT_LT(sensitized, all_pairs) << "every pair sensitized: nothing to test";
+  ASSERT_LT(differing, sensitized) << "no E == M column: nothing to share";
 
   const auto want = f.oracle(B);
   const std::uint64_t built0 = counter_value("dict.e_columns");
@@ -390,6 +403,9 @@ TEST(SignatureCache, NoColumnBuiltForUnsensitizedSuspects) {
   const std::uint64_t evals = counter_value("diag.phi_evals") - evals0;
   expect_same_diagnosis(got, want);
   EXPECT_EQ(cache.stats().misses, sensitized);
+  EXPECT_EQ(cache.stats().shared, sensitized - differing);
+  EXPECT_EQ(cache.stats().bytes,
+            differing * f.nl.outputs().size() * sizeof(double));
   EXPECT_EQ(cache.stats().hits, 0U);
   EXPECT_EQ(built, sensitized);
   EXPECT_EQ(evals, want_evals);
@@ -398,6 +414,132 @@ TEST(SignatureCache, NoColumnBuiltForUnsensitizedSuspects) {
   // The shared column is the baseline M column itself.
   const PatternSlice slice(f.dict_sim, f.sim, f.lev, f.patterns[0], f.clk);
   EXPECT_EQ(cache.collapse_slice(f.patterns[0]).baseline, slice.m_column());
+}
+
+TEST(SignatureCache, SlotsHoldBuiltColumnsSharedIffBitEqual) {
+  // Every (pattern, arc) slot under both match modes: an active arc's slot
+  // holds exactly PatternSlice's column, and it is the shared column iff
+  // that column is bit-equal to the shared one; an inactive arc's slot is
+  // the shared column, which its column provably equals.
+  const KernelFixture f;
+  std::vector<ArcId> arcs(f.nl.arc_count());
+  for (ArcId a = 0; a < arcs.size(); ++a) arcs[a] = a;
+  const std::size_t n_out = f.nl.outputs().size();
+  for (const bool match_e : {true, false}) {
+    const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
+                               match_e);
+    std::uint64_t own = 0;
+    std::uint64_t shared_active = 0;
+    for (const PatternPair& p : f.patterns) {
+      std::vector<const double*> out;
+      const double* shared = cache.columns(p, arcs, out);
+      ASSERT_EQ(out.size(), arcs.size());
+      const auto& cs = cache.collapse_slice(p);
+      ASSERT_EQ(shared, cs.baseline.data());
+      const PatternSlice slice(f.dict_sim, f.sim, f.lev, p, f.clk);
+      for (const ArcId a : arcs) {
+        const auto want = match_e ? slice.e_column(a, f.size_model)
+                                  : slice.signature_column(a, f.size_model);
+        ASSERT_EQ(want.size(), n_out);
+        EXPECT_TRUE(same_column_bits(out[a], want.data(), n_out))
+            << "arc " << a << (match_e ? " e" : " s");
+        const bool equal = same_column_bits(want.data(), shared, n_out);
+        EXPECT_EQ(out[a] == shared, equal) << "arc " << a;
+        if (cs.active[a] == 0) {
+          EXPECT_TRUE(equal) << "inactive arc " << a;
+        } else {
+          (out[a] == shared ? shared_active : own) += 1;
+        }
+      }
+      // A second lookup is served from the slots, pointer for pointer.
+      std::vector<const double*> again;
+      cache.columns(p, arcs, again);
+      EXPECT_EQ(again, out);
+    }
+    // The world must hold both kinds of sensitized column.
+    EXPECT_GT(own, 0U) << (match_e ? "e" : "s");
+    EXPECT_GT(shared_active, 0U) << (match_e ? "e" : "s");
+    EXPECT_EQ(cache.stats().shared, shared_active);
+    EXPECT_EQ(cache.stats().misses, own + shared_active);
+    EXPECT_EQ(cache.stats().bytes, own * n_out * sizeof(double));
+  }
+}
+
+TEST(SignatureCache, SameColumnBitsIsMemcmpNotEquality) {
+  // -0.0 == 0.0 but renders differently in captured phi; a NaN is its own
+  // bits.  Sharing follows the bits.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> zero = {0.25, 0.0};
+  const std::vector<double> neg_zero = {0.25, -0.0};
+  const std::vector<double> with_nan = {nan, 0.5};
+  EXPECT_TRUE(same_column_bits(zero.data(), zero.data(), 2));
+  EXPECT_FALSE(same_column_bits(zero.data(), neg_zero.data(), 2));
+  EXPECT_TRUE(same_column_bits(with_nan.data(), with_nan.data(), 2));
+  EXPECT_TRUE(same_column_bits(zero.data(), neg_zero.data(), 1));
+  EXPECT_TRUE(same_column_bits(nullptr, nullptr, 0));
+}
+
+TEST(SignatureCache, ConeRowsEqualGraphWalk) {
+  // Each (pattern, output) row: the graph walk's cone bit for bit, zero
+  // padding past the last arc, and the same pointer on every request.
+  const KernelFixture f;
+  const SignatureCache cache(f.dict_sim, f.sim, f.lev, f.size_model, f.clk,
+                             true);
+  const std::size_t n_arcs = f.nl.arc_count();
+  const std::size_t words = (n_arcs + 63) / 64;
+  std::size_t in_cones = 0;
+  for (const PatternPair& p : f.patterns) {
+    const paths::TransitionGraph tg(f.sim, f.lev, p);
+    for (std::size_t i = 0; i < f.nl.outputs().size(); ++i) {
+      const std::uint64_t* row = cache.cone_row(p, i);
+      const auto want = test_oracle::oracle_cone(tg, f.nl.outputs()[i]);
+      for (std::size_t a = 0; a < words * 64; ++a) {
+        const bool bit = ((row[a >> 6] >> (a & 63)) & 1U) != 0;
+        ASSERT_EQ(bit, a < n_arcs && want[a]) << "output " << i << " arc " << a;
+        in_cones += bit ? 1 : 0;
+      }
+      EXPECT_EQ(cache.cone_row(p, i), row);
+    }
+  }
+  EXPECT_GT(in_cones, 0U);
+  EXPECT_THROW((void)cache.cone_row(f.patterns[0], f.nl.outputs().size()),
+               std::out_of_range);
+}
+
+TEST(DiagnosisResult, TopIsThePrefixOfTheStableRanking) {
+  // Keys with ties under both directions: top(m, k) must list the first k
+  // of ranked(m), whose ties keep suspect order.
+  DiagnosisResult r;
+  r.suspects = {3, 5, 8, 13, 21, 34, 55};
+  r.methods = {Method::kSimII, Method::kRev};
+  const std::vector<double> key = {0.5, 0.25, 0.5, 0.75, 0.25, 0.5, -0.0};
+  r.keys = {key, key};
+  r.scores = {key, key};
+  for (const Method m : r.methods) {
+    const auto full = r.ranked(m);
+    ASSERT_EQ(full.size(), r.suspects.size());
+    // A stable sort by key is the specification.
+    std::vector<std::size_t> order(r.suspects.size());
+    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return ranks_better(m, key[a], key[b]);
+                     });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(full[i].arc, r.suspects[order[i]]);
+    }
+    for (std::size_t k = 0; k <= r.suspects.size() + 1; ++k) {
+      const auto best = r.top(m, k);
+      const std::size_t n = k == 0 ? order.size() : std::min(k, order.size());
+      ASSERT_EQ(best.size(), n) << "k " << k;
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(best[i], order[i]);
+      for (std::size_t s = 0; s < r.suspects.size(); ++s) {
+        const bool listed = std::find(best.begin(), best.end(), s) != best.end();
+        EXPECT_EQ(r.hit_within(m, r.suspects[s], k), k != 0 && listed);
+      }
+    }
+  }
+  EXPECT_THROW((void)r.top(Method::kSimI, 1), std::invalid_argument);
 }
 
 TEST(SignatureCache, MismatchedCacheRejected) {

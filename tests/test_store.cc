@@ -1,7 +1,9 @@
 // Tests for the persistent dictionary store: build determinism, a clk
 // equal to the experiment's calibration, the sparse "e" section (exactly the E columns that differ from M), the
 // StoreQueryEngine's bit-identity to the reference scorer (score_oracle.h)
-// and to an in-process Diagnoser over the same dictionary world, and the
+// and to an in-process Diagnoser over the same dictionary world, suspect
+// extraction from stored and cached cone rows against the graph walk of
+// extract_oracle.h, and the
 // loader's corruption taxonomy (truncated tails, single bit flips, version
 // and fingerprint mismatches, wrapped extents, malformed "e" indexes)
 // with the offending section named every time.
@@ -19,8 +21,11 @@
 #include "diagnosis/behavior.h"
 #include "diagnosis/diagnoser.h"
 #include "diagnosis/dictionary.h"
+#include "diagnosis/signature_matrix.h"
 #include "eval/experiment.h"
+#include "extract_oracle.h"
 #include "logicsim/bitsim.h"
+#include "netlist/iscas_catalog.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
 #include "obs/codec.h"
@@ -304,6 +309,80 @@ TEST(Store, StoredColumnsAreExactlyThoseDifferingFromM) {
   // The test world must exercise both kinds of pair.
   EXPECT_GT(n_stored, 0u);
   EXPECT_LT(n_stored, st.n_patterns() * st.n_arcs());
+}
+
+// Suspect extraction has one implementation, suspects_from_cone_rows(),
+// fed by the signature cache's cone rows (Diagnoser) or by the store's
+// "cones" section (engine).  On stand-ins with thousands of arcs, both
+// must equal the per-chip graph walk it replaced, uncapped and capped.
+class ExtractionEquivalence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ExtractionEquivalence, DiagnoserAndStoreMatchGraphWalk) {
+  const std::string name = GetParam();
+  const netlist::Netlist nl = netlist::make_standin(
+      *netlist::find_profile(name), name == "s1196" ? 1.0 : 0.35, 7);
+  ASSERT_GT(nl.arc_count(), 640u) << "rows of ten words or more";
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{8}}) {
+    store::StoreBuildConfig config;
+    config.mc_samples = 24;
+    config.calibration_sites = 4;
+    config.pattern_sites = 3;
+    config.max_patterns = 16;
+    config.max_suspects = cap;
+    config.seed = 41;
+    const auto path = temp_path("extract_" + name + ".dict");
+    store::build_dictionary_store(nl, config, path.string());
+    const store::DictionaryStore st(path.string());
+    ASSERT_EQ(st.max_suspects(), cap);
+    const store::StoreQueryEngine engine(st);
+    const DictionaryTwin twin(nl, config);
+    diagnosis::DiagnoserConfig dcfg;
+    dcfg.max_suspects = cap;
+    const diagnosis::Diagnoser diagnoser(twin.sim, twin.logic_sim, twin.lev,
+                                         twin.size_model, dcfg);
+    // A shared cache serves the rows of every chip after the first.
+    const diagnosis::SignatureCache cache(twin.sim, twin.logic_sim, twin.lev,
+                                          twin.size_model, st.clk(), true);
+    dcfg.cache = &cache;
+    const diagnosis::Diagnoser cached(twin.sim, twin.logic_sim, twin.lev,
+                                      twin.size_model, dcfg);
+    const auto patterns = st.patterns();
+    const auto chips = store::sample_failing_chips(nl, st, 50);
+    ASSERT_GE(chips.size(), 50u);
+    std::size_t capped = 0;
+    for (const auto& chip : chips) {
+      const auto want = test_oracle::oracle_suspects(
+          twin.logic_sim, twin.lev, patterns, chip.B, cap);
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(diagnoser.extract_suspects(patterns, chip.B), want);
+      EXPECT_EQ(cached.extract_suspects(patterns, chip.B), want);
+      EXPECT_EQ(engine.extract_suspects(chip.B), want);
+      capped += cap != 0 && want.size() == cap;
+    }
+    // The cap must bind somewhere, or the capped run tests nothing new.
+    if (cap != 0) {
+      EXPECT_GT(capped, 0u);
+    }
+    std::filesystem::remove(path);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, ExtractionEquivalence, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
+
+TEST(Store, ExtractionIgnoresRowPaddingBits) {
+  // A stored row is file bytes: bits past the last arc must not count.
+  // Three arcs, one word per row, padding set in every row.
+  const std::uint64_t rows[2] = {0b101 | (~0ULL << 3), 0b100 | (1ULL << 63)};
+  const std::uint64_t* ptrs[2] = {&rows[0], &rows[1]};
+  EXPECT_EQ(diagnosis::suspects_from_cone_rows(ptrs, 3, 0),
+            (std::vector<netlist::ArcId>{0, 2}));
+  // Capped at one: arc 2 has support 2, arc 0 support 1.
+  EXPECT_EQ(diagnosis::suspects_from_cone_rows(ptrs, 3, 1),
+            (std::vector<netlist::ArcId>{2}));
 }
 
 TEST(Store, QueryScoresSharedColumnOncePerPattern) {

@@ -16,7 +16,8 @@
 #      tests/data/golden/s1196_result.json byte for byte, the explain JSON
 #      must hash to tests/data/golden/s1196_explain.sha256, and the
 #      diagnose's metrics must show the diag.kernel.* / dict.sig_cache.*
-#      counters and the ATPG conflict cache (atpg.podem.pruned,
+#      counters (some, not all, built columns equal to the shared
+#      baseline) and the ATPG conflict cache (atpg.podem.pruned,
 #      atpg.conflict.cores) actually firing;
 #   6. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
@@ -181,9 +182,14 @@ assert c("atpg.fill.tried") >= c("atpg.fill.activated") > 0, \
 assert c("atpg.site.survivors") > 0, "no site-search survivors"
 assert c("defect.draws") >= 2, c("defect.draws")
 assert c("paths.tg.builds") > 0, "no transition graphs built"
+# The signature cache classifies each built column once: some sensitized
+# columns equal the shared baseline (not stored), and some differ.
+assert 0 < c("dict.sig_cache.shared") < c("dict.sig_cache.misses"), \
+    (c("dict.sig_cache.shared"), c("dict.sig_cache.misses"))
 print(f"golden bytes ok: result + explain identical, "
       f"{counters['diag.kernel.suspects']} kernel phi columns, "
-      f"{counters['dict.sig_cache.misses']} cache builds, "
+      f"{counters['dict.sig_cache.misses']} cache builds "
+      f"({c('dict.sig_cache.shared')} equal to the baseline), "
       f"{counters['atpg.podem.pruned']} PODEM calls pruned by "
       f"{counters['atpg.conflict.cores']} learned cores, "
       f"{c('atpg.fill.activated')}/{c('atpg.fill.tried')} fills activating, "
