@@ -6,7 +6,10 @@
 // targeted path holds its non-controlling value".  This module solves such
 // objective sets with the classic PODEM search: decisions are made only on
 // primary inputs, objectives are backtraced through X-paths, and
-// contradictions backtrack with a bounded budget.
+// contradictions backtrack with a bounded budget.  Implication runs on a
+// compiled event-driven engine (CSR fan-ins and fan-outs, flat cell types
+// and levels, inline ternary evaluation) that re-evaluates only the cone
+// an assignment changes, level by level.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +37,12 @@ struct PodemResult {
 };
 
 class ConflictCache;
-class EventSim;
+class ImplicationEngine;
 
 class Podem {
  public:
-  /// `conflicts` (optional, built for `nl`) prunes calls a learned core
-  /// proves unsatisfiable and learns from this solver's proofs.
+  /// `conflicts` (optional, built for `nl`) answers calls the solver has
+  /// already settled and learns from this solver's searches.
   Podem(const netlist::Netlist& nl, const netlist::Levelization& lev,
         ConflictCache* conflicts = nullptr);
   ~Podem();
@@ -54,17 +57,22 @@ class Podem {
   ///     satisfies the objectives;
   ///   - budget abort: more than `max_backtracks` backtracks;
   ///   - dead end: some objective could not be backtraced to a free PI
-  ///     (e.g. it sits on a constant gate, which the simulation leaves at
-  ///     X), so part of the search space was skipped.
+  ///     (it sits behind a gate the implication leaves at X, such as a
+  ///     flip-flop no scan transform has cut), so part of the search space
+  ///     was skipped.  Constant gates hold their value, so an objective on
+  ///     one is satisfied or conflicts at once.
   /// Only an exhausted search is a proof, and only proofs feed the
-  /// ConflictCache: the conflicts of an aborted search become a core only
-  /// after a search of them alone is exhausted.  A call some learned core
-  /// covers returns std::nullopt without searching, which is what the
-  /// search would have returned.
+  /// ConflictCache's cores: the conflicts of an aborted search become a
+  /// core only after a search of them alone is exhausted.  A call some
+  /// learned core covers, or one identical to a call that already aborted
+  /// (the same objectives in the same order, pins and budget), returns
+  /// std::nullopt without searching, which is what the search would have
+  /// returned.
   ///
-  /// A Podem owns the event simulator it searches with (kept at its all-X
-  /// baseline between calls), so solve() mutates it: never share one
-  /// Podem across threads.  A ConflictCache may be shared.
+  /// A Podem owns the implication engine it searches with (kept at its
+  /// baseline between calls: PIs at X, constants at their value), so
+  /// solve() mutates it: never share one Podem across threads.  A
+  /// ConflictCache may be shared.
   std::optional<PodemResult> solve(
       std::span<const Objective> objectives, std::size_t max_backtracks = 2000,
       std::span<const logicsim::Tern> pre_assigned = {}) const;
@@ -72,8 +80,8 @@ class Podem {
  private:
   struct Search;
 
-  /// One PODEM search from the all-X baseline with `pins` applied; returns
-  /// the simulator to the baseline.
+  /// One PODEM search from the baseline with `pins` applied; returns the
+  /// engine to the baseline.
   Search search(std::span<const Objective> objectives,
                 std::span<const logicsim::Tern> pins,
                 std::size_t max_backtracks) const;
@@ -81,16 +89,16 @@ class Podem {
   /// Learns a core from an exhausted or aborted search: the objectives
   /// that conflicted at its leaves plus the pins, refined by re-solving
   /// the core alone (pins last) until it stops shrinking.  It is recorded
-  /// only once some exhausted search proves it.
+  /// only once some exhausted search proves it; an aborted search's
+  /// candidate whose refinement already failed once is not refined again.
   void learn(std::span<const Objective> objectives, const Search& first,
              std::span<const logicsim::Tern> pins,
              std::size_t max_backtracks) const;
 
   const netlist::Netlist* nl_;
-  const netlist::Levelization* lev_;
   std::vector<std::int32_t> input_index_;  ///< gate id -> PI position or -1
   ConflictCache* conflicts_;
-  std::unique_ptr<EventSim> esim_;
+  std::unique_ptr<ImplicationEngine> engine_;
 };
 
 }  // namespace sddd::atpg

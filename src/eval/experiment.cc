@@ -150,6 +150,23 @@ obs::Counter& atpg_gen_ns_counter() {
   return c;
 }
 
+/// The trial loop's ATPG time by draw outcome: the detectability gate
+/// (atpg.gate_ns, outside atpg.gen_ns), and the pattern generation of the
+/// draws that were accepted and diagnosed (atpg.accepted_ns, part of
+/// atpg.gen_ns; the rest of atpg.gen_ns went to discarded draws and the
+/// clk calibration).
+obs::Counter& atpg_gate_ns_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().register_counter("atpg.gate_ns");
+  return c;
+}
+
+obs::Counter& atpg_accepted_ns_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().register_counter("atpg.accepted_ns");
+  return c;
+}
+
 /// Per-draw outcomes of the injection loop (defect.*): every draw, and the
 /// draws rejected for an empty pattern set, a detectability verdict below
 /// or above the window, no observed failure, or a failure the defect does
@@ -316,19 +333,22 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
     ++record.injection_attempts;
     draw.draws.add(1);
     record.chip = S.injector.draw(S.instance_samples, trial_rng);
-    {
-      const obs::ScopedNsTimer atpg_timer(atpg_gen_ns_counter());
-      patterns = atpg::generate_diagnostic_patterns(
-          S.model, S.lev, record.chip.defect_arc, config.pattern_config,
-          trial_rng, &S.conflicts);
-    }
+    const std::uint64_t atpg_t0 = obs::now_ns();
+    patterns = atpg::generate_diagnostic_patterns(
+        S.model, S.lev, record.chip.defect_arc, config.pattern_config,
+        trial_rng, &S.conflicts);
+    const std::uint64_t atpg_ns = obs::now_ns() - atpg_t0;
+    atpg_gen_ns_counter().add(atpg_ns);
     if (patterns.empty()) {
       draw.reject_empty.add(1);
       continue;
     }
     if (config.site_bias == SiteBias::kDetectable) {
-      const double d = atpg::site_best_nominal_delay(
-          S.model, S.lev, patterns, record.chip.defect_arc);
+      const double d = [&] {
+        const obs::ScopedNsTimer gate_timer(atpg_gate_ns_counter());
+        return atpg::site_best_nominal_delay(S.model, S.lev, patterns,
+                                             record.chip.defect_arc);
+      }();
       if (d < S.detect_lo) {
         draw.reject_lo.add(1);
         continue;
@@ -380,6 +400,7 @@ void run_trial_body(const ExperimentSetup& S, const Diagnoser& diagnoser,
     }
     if (defect_contributes) {
       record.failed_test = true;
+      atpg_accepted_ns_counter().add(atpg_ns);
       break;
     }
     draw.reject_nocontrib.add(1);
@@ -612,6 +633,10 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   ph.trials_seconds = seconds_since(trials_t0);
   ph.atpg_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "atpg.gen_ns");
+  ph.atpg_gate_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
+      snap_start, snap_end, "atpg.gate_ns");
+  ph.atpg_accepted_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
+      snap_start, snap_end, "atpg.accepted_ns");
   ph.mc_observe_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "mc.observe_ns");
   ph.dict_build_cpu_seconds =
@@ -652,16 +677,21 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   ph.podem_aborted = podem("atpg.podem.aborted");
   ph.podem_dead_end = podem("atpg.podem.dead_end");
   ph.podem_pruned = podem("atpg.podem.pruned");
+  ph.podem_repeat = podem("atpg.podem.repeat");
   ph.conflict_cores = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.cores");
   ph.conflict_bytes = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.bytes");
+  ph.conflict_memo_bytes = obs::MetricsSnapshot::counter_delta(
+      snap_start, snap_end, "atpg.conflict.memo_bytes");
   ph.conflict_learn_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "atpg.conflict.learn_ns");
   ph.conflict_unproven = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.unproven");
   ph.conflict_unproven_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
       snap_start, snap_end, "atpg.conflict.unproven_ns");
+  ph.conflict_unproven_skipped = obs::MetricsSnapshot::counter_delta(
+      snap_start, snap_end, "atpg.conflict.unproven_skipped");
   for (const char* name : PhaseBreakdown::kStageCounters) {
     ph.stages.emplace_back(
         name, obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name));

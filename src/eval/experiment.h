@@ -170,6 +170,11 @@ struct PhaseBreakdown {
   double trials_seconds = 0.0;       ///< injection + diagnosis loop
 
   double atpg_cpu_seconds = 0.0;          ///< diagnostic pattern generation
+  /// The trial loop's detectability gate (outside atpg_cpu_seconds), and
+  /// the part of atpg_cpu_seconds spent on draws that were accepted and
+  /// diagnosed; the rest went to discarded draws.
+  double atpg_gate_cpu_seconds = 0.0;
+  double atpg_accepted_cpu_seconds = 0.0;
   double mc_observe_cpu_seconds = 0.0;    ///< chip behavior observation
   double dict_build_cpu_seconds = 0.0;    ///< dictionary M + E columns
   double suspect_extract_cpu_seconds = 0.0;
@@ -192,8 +197,9 @@ struct PhaseBreakdown {
   /// PODEM calls and their CPU seconds by outcome (atpg.podem.*; see
   /// atpg/podem.h), and what the shared ConflictCache learned
   /// (atpg.conflict.*).  A core learned by one thread prunes calls on
-  /// another, so these depend on the thread schedule: they are reported
-  /// here and in the metrics, never in the result JSON or the journal.
+  /// another, and an abort recorded by one answers repeats on another, so
+  /// these depend on the thread schedule: they are reported here and in
+  /// the metrics, never in the result JSON or the journal.
   struct PodemOutcome {
     std::uint64_t calls = 0;
     double cpu_seconds = 0.0;
@@ -203,13 +209,19 @@ struct PhaseBreakdown {
   PodemOutcome podem_aborted;
   PodemOutcome podem_dead_end;
   PodemOutcome podem_pruned;
+  /// Calls identical to one that already aborted: answered unsearched.
+  PodemOutcome podem_repeat;
   std::uint64_t conflict_cores = 0;
+  /// Bytes the cache grew by (cores and memos), and the memos' share.
   std::uint64_t conflict_bytes = 0;
+  std::uint64_t conflict_memo_bytes = 0;
   double conflict_learn_cpu_seconds = 0.0;
   /// Learning attempts that proved nothing, and their CPU seconds (part of
   /// conflict_learn_cpu_seconds).
   std::uint64_t conflict_unproven = 0;
   double conflict_unproven_cpu_seconds = 0.0;
+  /// Attempts skipped because the same refinement had already failed.
+  std::uint64_t conflict_unproven_skipped = 0;
 
   /// Stage counters, in kStageCounters order as (metric name, count): the
   /// injection draws and why each was rejected, then the ATPG stages and

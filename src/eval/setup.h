@@ -28,8 +28,8 @@ namespace sddd::eval {
 
 /// Every member but `conflicts` is a pure function of (netlist, config,
 /// known_clk).  What `conflicts` holds depends on the thread schedule, but
-/// no output does: a core only prunes PODEM calls that return no test
-/// anyway (atpg/conflict_cache.h).
+/// no output does: a core or a recorded abort only answers PODEM calls
+/// that return no test anyway (atpg/conflict_cache.h).
 struct ExperimentSetup {
   /// Builds the world for `nl` at `config`.  clk is calibrated by the
   /// per-site achievable-delay sweep (ExperimentConfig::clk_site_quantile)
@@ -65,8 +65,9 @@ struct ExperimentSetup {
   defect::DefectSizeModel size_model;
   defect::SegmentDefectModel location_model;
   defect::DefectInjector injector;
-  /// Learned false-path conflicts, shared by the clk calibration, every
-  /// trial and thread, explain_trial and the store's pattern sweep.
+  /// Learned false-path conflicts and PODEM's memos, shared by the clk
+  /// calibration, every trial and thread, explain_trial and the store's
+  /// pattern sweep.
   mutable atpg::ConflictCache conflicts;
   double clk = 0.0;
   double calibration_seconds = 0.0;  ///< 0 when clk was given

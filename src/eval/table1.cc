@@ -144,7 +144,10 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
        << ", \"calibration_s\": " << ph.calibration_seconds
        << ", \"trials_s\": " << ph.trials_seconds << ",\n"
        << "                \"atpg_cpu_s\": " << ph.atpg_cpu_seconds
-       << ", \"mc_observe_cpu_s\": " << ph.mc_observe_cpu_seconds
+       << ", \"atpg_gate_cpu_s\": " << ph.atpg_gate_cpu_seconds
+       << ", \"atpg_accepted_cpu_s\": " << ph.atpg_accepted_cpu_seconds
+       << ",\n                \"mc_observe_cpu_s\": "
+       << ph.mc_observe_cpu_seconds
        << ", \"dict_build_cpu_s\": " << ph.dict_build_cpu_seconds << ",\n"
        << "                \"suspect_extract_cpu_s\": "
        << ph.suspect_extract_cpu_seconds
@@ -177,12 +180,16 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
     outcome("dead_end", ph.podem_dead_end);
     os << ",\n                          ";
     outcome("pruned", ph.podem_pruned);
+    os << ", ";
+    outcome("repeat", ph.podem_repeat);
     os << "},\n"
        << "                \"conflict\": {\"cores\": " << ph.conflict_cores
        << ", \"bytes\": " << ph.conflict_bytes
+       << ", \"memo_bytes\": " << ph.conflict_memo_bytes
        << ", \"learn_cpu_s\": " << ph.conflict_learn_cpu_seconds
        << ", \"unproven\": " << ph.conflict_unproven
        << ", \"unproven_cpu_s\": " << ph.conflict_unproven_cpu_seconds
+       << ", \"unproven_skipped\": " << ph.conflict_unproven_skipped
        << "},\n";
     // Stage counters do not depend on the schedule (see PhaseBreakdown).
     os << "                \"stages\": {";

@@ -173,9 +173,22 @@ std::vector<Path> k_heaviest_paths_through(const Netlist& nl,
       result.push_back(std::move(p));
     }
   }
-  std::stable_sort(result.begin(), result.end(), [&](const Path& a, const Path& b) {
-    return path_weight(a, arc_weight) > path_weight(b, arc_weight);
-  });
+  // Heaviest first, ties in enumeration order: each weight is computed
+  // once, then the candidates are stably ordered by it.
+  std::vector<double> weight(result.size());
+  std::vector<std::size_t> order(result.size());
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    weight[i] = path_weight(result[i], arc_weight);
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight[a] > weight[b];
+                   });
+  std::vector<Path> sorted;
+  sorted.reserve(result.size());
+  for (const std::size_t i : order) sorted.push_back(std::move(result[i]));
+  result = std::move(sorted);
   result.erase(std::unique(result.begin(), result.end()), result.end());
   if (result.size() > k) result.resize(k);
   return result;

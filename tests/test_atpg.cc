@@ -1,14 +1,18 @@
-// Unit tests for the ATPG substrate: PODEM objective satisfaction, the
-// learned-conflict cache, path sensitization (non-robust and robust), GA
-// fill and the diagnostic pattern-set generator, whose site search, gate
-// and fill loop are also checked against the scalar oracle of
+// Unit tests for the ATPG substrate: PODEM objective satisfaction (also
+// against the event-simulator oracle of podem_oracle.h), the conflict
+// cache and its memos, path sensitization (non-robust and robust), GA fill
+// and the diagnostic pattern-set generator, whose site search, gate and
+// fill loop are also checked against the scalar oracle of
 // activity_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <thread>
+#include <unordered_map>
 
 #include "activity_oracle.h"
+#include "podem_oracle.h"
 #include "atpg/conflict_cache.h"
 #include "atpg/diag_patterns.h"
 #include "atpg/ga_fill.h"
@@ -209,8 +213,28 @@ TEST(ConflictCache, AbortAndDeadEndLearnNothing) {
   EXPECT_EQ(counter("atpg.podem.aborted"), aborted + 1);
   EXPECT_EQ(cache.stats().cores, 0u);
 
-  // An objective on a constant gate: the simulation leaves it at X, so
-  // the backtrace dead-ends although y = 1 alone is satisfiable.
+  // An objective behind a flip-flop no scan transform has cut: the
+  // implication leaves q at X, so the backtrace dead-ends although
+  // y = AND(a, q) = 1 is satisfiable once q holds 1.
+  Netlist seq("seq");
+  const auto a = seq.add_input("a");
+  const auto q = seq.add_gate(CellType::kDff, "q", {a});
+  const auto y = seq.add_gate(CellType::kAnd, "y", {a, q});
+  seq.add_output(y);
+  seq.freeze();
+  const Levelization seq_lev(seq);
+  ConflictCache seq_cache(seq);
+  const Podem seq_podem(seq, seq_lev, &seq_cache);
+  const std::uint64_t dead = counter("atpg.podem.dead_end");
+  EXPECT_FALSE(seq_podem.solve(std::vector<Objective>{{y, true}}).has_value());
+  EXPECT_EQ(counter("atpg.podem.dead_end"), dead + 1);
+  EXPECT_EQ(seq_cache.stats().cores, 0u);
+}
+
+TEST(ConflictCache, ConstantsHoldTheirValue) {
+  // z = OR(AND(a, b), k) with k tied to 0: the implication's baseline
+  // holds k = 0, so {y = 1, k = 0} is satisfiable and {k = 1} conflicts
+  // before any decision, an exhausted search that proves a core.
   Netlist nl("const");
   const auto a = nl.add_input("a");
   const auto b = nl.add_input("b");
@@ -219,14 +243,20 @@ TEST(ConflictCache, AbortAndDeadEndLearnNothing) {
   const auto z = nl.add_gate(CellType::kOr, "z", {y, k});
   nl.add_output(z);
   nl.freeze();
-  const Levelization lev2(nl);
-  ConflictCache cache2(nl);
-  const Podem podem2(nl, lev2, &cache2);
-  const std::uint64_t dead = counter("atpg.podem.dead_end");
-  EXPECT_FALSE(
-      podem2.solve(std::vector<Objective>{{y, true}, {k, false}}).has_value());
-  EXPECT_EQ(counter("atpg.podem.dead_end"), dead + 1);
-  EXPECT_EQ(cache2.stats().cores, 0u);
+  const Levelization lev(nl);
+  ConflictCache cache(nl);
+  const Podem podem(nl, lev, &cache);
+  const TernarySimulator sim(nl, lev);
+  const auto sat = podem.solve(std::vector<Objective>{{y, true}, {k, false}});
+  ASSERT_TRUE(sat.has_value());
+  EXPECT_EQ(sim.simulate(sat->pi_values)[y], Tern::k1);
+  const std::uint64_t exhausted = counter("atpg.podem.exhausted");
+  EXPECT_FALSE(podem.solve(std::vector<Objective>{{k, true}}).has_value());
+  EXPECT_EQ(counter("atpg.podem.exhausted"), exhausted + 1);
+  ASSERT_EQ(cache.stats().cores, 1u);
+  ASSERT_EQ(cache.cores()[0].size(), 1u);
+  EXPECT_EQ(cache.cores()[0][0].gate, k);
+  EXPECT_TRUE(cache.cores()[0][0].value);
 }
 
 TEST(ConflictCache, LearnedCoresAreSubsetsThatReprove) {
@@ -296,11 +326,213 @@ TEST(ConflictCache, CapStopsLearningNotPruning) {
   EXPECT_TRUE(cache.covers(first));
 }
 
+/// Asserts that a cached and a cache-free solve of one query agree: the
+/// same optional, PI values and backtracks.
+void expect_same_answer(const std::optional<PodemResult>& got,
+                        const std::optional<PodemResult>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->pi_values, want->pi_values);
+  EXPECT_EQ(got->backtracks, want->backtracks);
+}
+
+TEST(ConflictCache, AbortMemoIsExact) {
+  AndNor c;
+  const Levelization lev(c.nl);
+  ConflictCache cache(c.nl);
+  const Podem cached(c.nl, lev, &cache);
+  const Podem plain(c.nl, lev);
+  // Solves with and without the cache; true when the cached call was
+  // answered by the abort memo.
+  const auto repeat = [&](const std::vector<Objective>& obj,
+                          std::size_t budget, const std::vector<Tern>& pins) {
+    const std::uint64_t before = counter("atpg.podem.repeat");
+    expect_same_answer(cached.solve(obj, budget, pins),
+                       plain.solve(obj, budget, pins));
+    return counter("atpg.podem.repeat") == before + 1;
+  };
+  const std::vector<Tern> free(c.nl.inputs().size(), Tern::kX);
+  const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
+  // At budget 0 the first search aborts; an identical call is answered
+  // unsearched, and unlearned.
+  EXPECT_FALSE(repeat(obj, 0, free));
+  EXPECT_EQ(cache.stats().refused, 1u);
+  const std::uint64_t unproven = counter("atpg.conflict.unproven");
+  const std::uint64_t skipped = counter("atpg.conflict.unproven_skipped");
+  EXPECT_TRUE(repeat(obj, 0, free));
+  EXPECT_TRUE(repeat(obj, 0, {}));  // no pins = every PI free
+  EXPECT_EQ(counter("atpg.conflict.unproven"), unproven);
+  EXPECT_EQ(counter("atpg.conflict.unproven_skipped"), skipped);
+  // Another query whose search aborts on the same leaf conflicts (w = 1)
+  // is searched, but its learning candidate, refined once already, is not.
+  EXPECT_FALSE(repeat({obj[0], obj[1], obj[0]}, 0, free));
+  EXPECT_EQ(counter("atpg.conflict.unproven"), unproven);
+  EXPECT_EQ(counter("atpg.conflict.unproven_skipped"), skipped + 1);
+  EXPECT_EQ(cache.stats().unprovable, 1u);
+  // The same objectives in another order, under other pins or with a
+  // larger budget are other searches.
+  EXPECT_FALSE(repeat({obj[1], obj[0]}, 0, free));
+  std::vector<Tern> pins = free;
+  pins[1] = Tern::k0;
+  EXPECT_FALSE(repeat(obj, 0, pins));
+  EXPECT_FALSE(repeat(obj, 2, free));
+  EXPECT_EQ(cache.stats().cores, 2u);  // pinned b = 0 and budget 2 proved
+
+  // On a stand-in: every heavy path's capture query at a budget that
+  // aborts, twice, then at one that decides it.  Some query must abort at
+  // the small budget and be satisfiable at the large one.
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile("s1196"), 0.35, 7);
+  const Levelization nl_lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  ConflictCache nl_cache(nl);
+  const Podem nl_cached(nl, nl_lev, &nl_cache);
+  const Podem nl_plain(nl, nl_lev);
+  std::size_t repeats = 0;
+  std::size_t decided_later = 0;
+  const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 24));
+  for (ArcId site = 0; site < nl.arc_count(); site += step) {
+    for (const auto& path :
+         paths::k_heaviest_paths_through(nl, nl_lev, model.means(), site, 8)) {
+      if (test_oracle::origin_position(nl, path) < 0) continue;
+      for (const bool rising : {true, false}) {
+        const auto q = test_oracle::sensitize_v2_query(nl, path, rising);
+        bool small_aborted = false;
+        for (const std::size_t budget : {2, 2, 300, 300}) {
+          const std::uint64_t aborted0 = counter("atpg.podem.aborted");
+          const auto want = nl_plain.solve(q.objectives, budget, q.pins);
+          const bool aborted = counter("atpg.podem.aborted") == aborted0 + 1;
+          const std::uint64_t repeat0 = counter("atpg.podem.repeat");
+          const auto got = nl_cached.solve(q.objectives, budget, q.pins);
+          repeats += counter("atpg.podem.repeat") == repeat0 + 1 ? 1U : 0U;
+          expect_same_answer(got, want);
+          small_aborted |= budget == 2 && aborted;
+          if (budget == 300 && small_aborted && got) ++decided_later;
+        }
+      }
+    }
+  }
+  EXPECT_GT(repeats, 0u);
+  EXPECT_GT(decided_later, 0u);
+}
+
+TEST(ConflictCache, MemoComparesWholeKeys) {
+  // Two different keys with one slot hash: a hit must compare the keys.
+  std::unordered_map<std::uint32_t, std::uint32_t> seen;
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  for (std::uint32_t i = 0; a.empty(); ++i) {
+    ASSERT_LT(i, 1U << 22U);
+    const std::vector<std::uint32_t> key = {300, 2, i & 0xFFFFU, i >> 16U};
+    const auto [it, fresh] = seen.emplace(KeyMemo::hash(key), i);
+    if (fresh) continue;
+    a = {300, 2, it->second & 0xFFFFU, it->second >> 16U};
+    b = key;
+  }
+  ASSERT_NE(a, b);
+  ASSERT_EQ(KeyMemo::hash(a), KeyMemo::hash(b));
+  for (const bool narrow : {true, false}) {
+    KeyMemo memo(narrow, std::size_t{1} << 20U);
+    EXPECT_FALSE(memo.contains(a));
+    EXPECT_TRUE(memo.insert(a));
+    EXPECT_FALSE(memo.insert(a));
+    EXPECT_TRUE(memo.contains(a));
+    EXPECT_FALSE(memo.contains(b));
+    EXPECT_TRUE(memo.insert(b));
+    EXPECT_TRUE(memo.contains(b));
+    EXPECT_EQ(memo.size(), 2u);
+    // A prefix, an extension and a wider value are other keys.
+    EXPECT_FALSE(memo.contains(std::vector<std::uint32_t>(a.begin(), a.end() - 1)));
+    std::vector<std::uint32_t> longer = a;
+    longer.push_back(0);
+    EXPECT_FALSE(memo.contains(longer));
+    std::vector<std::uint32_t> wide = a;
+    wide[2] += 0x10000U;
+    EXPECT_FALSE(memo.contains(wide));
+    EXPECT_EQ(memo.insert(wide), !narrow);
+  }
+}
+
+TEST(ConflictCache, MemoStopsAtItsByteBudget) {
+  constexpr std::size_t kBudget = std::size_t{256} << 10U;
+  KeyMemo memo(true, kBudget);
+  stats::Rng rng(9);
+  std::vector<std::vector<std::uint32_t>> held;
+  for (std::size_t n = 0; n < 100000; ++n) {
+    std::vector<std::uint32_t> key(1 + rng.below(60));
+    for (auto& v : key) v = rng.below(0x10000U);
+    if (memo.insert(key)) {
+      held.push_back(std::move(key));
+    } else if (!memo.contains(key)) {
+      break;
+    }
+  }
+  EXPECT_GT(held.size(), 1000u);
+  EXPECT_LE(memo.bytes(), kBudget);
+  EXPECT_EQ(memo.size(), held.size());
+  EXPECT_FALSE(memo.insert(std::vector<std::uint32_t>(60, 7)));
+  for (const auto& key : held) ASSERT_TRUE(memo.contains(key));
+}
+
+TEST(ConflictCache, SharedAcrossThreadsMatchesOneThread) {
+  // Four solvers share one cache, each answering every fourth query twice;
+  // every answer equals the one-thread, one-cache run's.
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile("s1196"), 0.35, 7);
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  std::vector<test_oracle::PodemQuery> queries;
+  const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 32));
+  for (ArcId site = 0; site < nl.arc_count(); site += step) {
+    for (const auto& path :
+         paths::k_heaviest_paths_through(nl, lev, model.means(), site, 8)) {
+      if (test_oracle::origin_position(nl, path) < 0) continue;
+      for (const bool rising : {true, false}) {
+        queries.push_back(test_oracle::sensitize_v2_query(nl, path, rising));
+      }
+    }
+  }
+  ASSERT_GT(queries.size(), 100u);
+  constexpr std::size_t kBudget = 30;
+  using Answers = std::vector<std::optional<PodemResult>>;
+  const auto run = [&](std::size_t threads) {
+    ConflictCache cache(nl);
+    Answers answers(2 * queries.size());
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        const Podem podem(nl, lev, &cache);
+        for (std::size_t i = t; i < queries.size(); i += threads) {
+          for (std::size_t k = 0; k < 2; ++k) {
+            answers[2 * i + k] = podem.solve(queries[i].objectives, kBudget,
+                                             queries[i].pins);
+          }
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    return answers;
+  };
+  const std::uint64_t repeat0 = counter("atpg.podem.repeat");
+  const Answers one = run(1);
+  const Answers four = run(4);
+  EXPECT_GT(counter("atpg.podem.repeat"), repeat0);
+  std::size_t sat = 0;
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    expect_same_answer(four[i], one[i]);
+    sat += one[i] ? 1U : 0U;
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_LT(sat, one.size());
+}
+
 class ConflictEquivalence : public ::testing::TestWithParam<const char*> {};
 
 // Every PODEM call of sensitization - each candidate path and polarity,
 // v2 and v1, non-robust and robust - answers the same with a cache warmed
-// by earlier sites as without one.
+// by earlier sites as without one, the first time and when repeated.
 TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
   const Netlist nl =
       netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
@@ -311,6 +543,7 @@ TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
   const PathDelayAtpg cached(nl, lev, &cache);
   const PathDelayAtpg plain(nl, lev);
   const std::uint64_t pruned0 = counter("atpg.podem.pruned");
+  const std::uint64_t repeat0 = counter("atpg.podem.repeat");
   std::size_t calls = 0;
   const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 24));
   for (ArcId site = 0; site < nl.arc_count(); site += step) {
@@ -318,13 +551,15 @@ TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
              nl, lev, model.means(), site, 32)) {
       for (const bool rising : {true, false}) {
         for (const bool robust : {false, true}) {
-          const auto a = cached.sensitize(path, rising, robust, 300);
           const auto b = plain.sensitize(path, rising, robust, 300);
-          ++calls;
-          ASSERT_EQ(a.has_value(), b.has_value()) << "site " << site;
-          if (a) {
-            EXPECT_EQ(a->v1, b->v1);
-            EXPECT_EQ(a->v2, b->v2);
+          for (int twice = 0; twice < 2; ++twice) {
+            const auto a = cached.sensitize(path, rising, robust, 300);
+            ++calls;
+            ASSERT_EQ(a.has_value(), b.has_value()) << "site " << site;
+            if (a) {
+              EXPECT_EQ(a->v1, b->v1);
+              EXPECT_EQ(a->v2, b->v2);
+            }
           }
         }
       }
@@ -332,12 +567,112 @@ TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
   }
   EXPECT_GT(calls, 100u);
   EXPECT_GT(counter("atpg.podem.pruned"), pruned0);
+  if (std::string(GetParam()) == "s9234") {
+    EXPECT_GT(counter("atpg.podem.repeat"), repeat0);
+  }
   EXPECT_GT(cache.stats().cores, 0u);
   for (const auto& core : cache.cores()) EXPECT_TRUE(reproves(nl, lev, core));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Standins, ConflictEquivalence, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
+
+class PodemEquivalence : public ::testing::TestWithParam<const char*> {};
+
+// The compiled solver, cache-free, against the event-simulator oracle:
+// every capture and launch query sensitize() makes for the 32 heaviest
+// paths at 24 or more sites, both polarities, non-robust and robust, and
+// random objective sets with pins at several budgets, end with the same
+// outcome, PI values and backtracks.
+TEST_P(PodemEquivalence, SolvesMatchOracle) {
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  const Podem podem(nl, lev);
+  const test_oracle::OraclePodem oracle(nl, lev);
+  const PathDelayAtpg plain(nl, lev);
+  const char* const outcome_names[] = {"atpg.podem.sat", "atpg.podem.exhausted",
+                                       "atpg.podem.aborted",
+                                       "atpg.podem.dead_end"};
+  std::size_t seen[4] = {};
+  // Solves `q` both ways and returns the oracle's answer.
+  const auto same = [&](const test_oracle::PodemQuery& q,
+                        std::size_t budget) {
+    const auto want = oracle.solve(q.objectives, budget, q.pins);
+    const auto outcome = static_cast<std::size_t>(want.outcome);
+    const std::uint64_t before = counter(outcome_names[outcome]);
+    const auto got = podem.solve(q.objectives, budget, q.pins);
+    EXPECT_EQ(counter(outcome_names[outcome]), before + 1);
+    ++seen[outcome];
+    EXPECT_EQ(got.has_value(), want.outcome == test_oracle::PodemOutcome::kSat);
+    if (got) {
+      EXPECT_EQ(got->pi_values, want.pi);
+      EXPECT_EQ(got->backtracks, want.backtracks);
+    }
+    return want;
+  };
+  std::size_t sites = 0;
+  const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 24));
+  for (ArcId site = 0; site < nl.arc_count(); site += step) {
+    ++sites;
+    for (const auto& path :
+         paths::k_heaviest_paths_through(nl, lev, model.means(), site, 32)) {
+      if (test_oracle::origin_position(nl, path) < 0) continue;
+      for (const bool rising : {true, false}) {
+        const auto v2 = same(test_oracle::sensitize_v2_query(nl, path, rising),
+                             300);
+        for (const bool robust : {false, true}) {
+          const auto templates = plain.sensitize(path, rising, robust, 300);
+          if (v2.outcome != test_oracle::PodemOutcome::kSat) {
+            ASSERT_FALSE(templates.has_value()) << "site " << site;
+            continue;
+          }
+          const auto v1 = same(test_oracle::sensitize_v1_query(
+                                   nl, lev, path, rising, robust, v2.pi),
+                               300);
+          ASSERT_EQ(templates.has_value(),
+                    v1.outcome == test_oracle::PodemOutcome::kSat)
+              << "site " << site;
+          if (templates) {
+            EXPECT_EQ(templates->v1, v1.pi);
+            EXPECT_EQ(templates->v2, v2.pi);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(sites, 24u);
+
+  stats::Rng rng(47);
+  for (int t = 0; t < 400; ++t) {
+    test_oracle::PodemQuery q;
+    const std::size_t count = 1 + rng.below(12);
+    for (std::size_t i = 0; i < count; ++i) {
+      q.objectives.push_back(
+          {static_cast<GateId>(
+               rng.below(static_cast<std::uint32_t>(nl.gate_count()))),
+           rng.bernoulli(0.5)});
+    }
+    q.pins.assign(nl.inputs().size(), Tern::kX);
+    for (std::size_t p = rng.below(4); p > 0; --p) {
+      q.pins[rng.below(static_cast<std::uint32_t>(q.pins.size()))] =
+          rng.bernoulli(0.5) ? Tern::k1 : Tern::k0;
+    }
+    const std::size_t budgets[] = {0, 3, 30, 300};
+    (void)same(q, budgets[rng.below(4)]);
+  }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, PodemEquivalence, ::testing::Values("s1196", "s9234"),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       return std::string(param_info.param);
     });

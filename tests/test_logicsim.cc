@@ -1,8 +1,11 @@
 // Unit tests for the two-valued bit-parallel simulator and the ternary
-// (0/1/X) simulator, including cross-checks between the two and gate-level
-// truth-table verification.
+// (0/1/X) simulator, including cross-checks between the two, gate-level
+// truth-table verification and how every simulator, PODEM included, reads
+// tied constants.
 #include <gtest/gtest.h>
 
+#include "atpg/pdf_atpg.h"
+#include "atpg/podem.h"
 #include "logicsim/bitsim.h"
 #include "logicsim/ternary.h"
 #include "netlist/bench_io.h"
@@ -119,6 +122,33 @@ TEST(BitSimulator, ConstantsSimulateToTheirValue) {
       const netlist::ArcId arc = nl.arc_base(y) + pin;
       const bool from_tie = nl.gate(y).fanins[pin] == k;
       EXPECT_EQ(tw.active(arc), from_tie ? 0U : 0b011U) << twin.text;
+    }
+    // PODEM reads the tie as its value: y follows a, and the path a -> y
+    // (its side input held non-controlling by the tie) has a test in both
+    // polarities, non-robust and robust.
+    const atpg::Podem podem(nl, lev);
+    for (const bool value : {false, true}) {
+      const auto sol =
+          podem.solve(std::vector<atpg::Objective>{{y, value}});
+      ASSERT_TRUE(sol.has_value()) << twin.text;
+      EXPECT_EQ(sol->pi_values[0], value ? Tern::k1 : Tern::k0) << twin.text;
+    }
+    const atpg::PathDelayAtpg atpg(nl, lev);
+    paths::Path path;
+    for (std::uint32_t pin = 0; pin < 2; ++pin) {
+      if (nl.gate(y).fanins[pin] == a) path.arcs = {nl.arc_base(y) + pin};
+    }
+    for (const bool rising : {false, true}) {
+      for (const bool robust : {false, true}) {
+        const auto templates = atpg.sensitize(path, rising, robust);
+        ASSERT_TRUE(templates.has_value()) << twin.text;
+        EXPECT_EQ(templates->v2[0], rising ? Tern::k1 : Tern::k0);
+        EXPECT_EQ(templates->v1[0], rising ? Tern::k0 : Tern::k1);
+        stats::Rng rng(3);
+        const auto test = atpg.generate(path, rising, robust, rng);
+        ASSERT_TRUE(test.has_value()) << twin.text;
+        EXPECT_TRUE(test->activates) << twin.text;
+      }
     }
   }
 }
