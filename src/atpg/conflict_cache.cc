@@ -13,8 +13,8 @@ namespace sddd::atpg {
 
 namespace {
 
-// Cores learned, the bytes the cache occupies (cores and memos) and the
-// memos' share of them, summed over every cache in the process.  They
+// Cores learned, the bytes the cache occupies (cores and the abort memo)
+// and the memo's share of them, summed over every cache in the process.  They
 // depend on the thread schedule (which call proves a core first), so they
 // stay out of every byte-identity check.
 obs::Counter& cores_counter() {
@@ -155,8 +155,7 @@ bool KeyMemo::insert(std::span<const std::uint32_t> key) {
 ConflictCache::ConflictCache(const netlist::Netlist& nl)
     : heads_(2 * nl.gate_count(), kNone),
       bytes_(heads_.size() * sizeof(std::uint32_t)),
-      refused_(heads_.size() <= 0x10000U, kMaxMemoBytes),
-      unprovable_(heads_.size() <= 0x10000U, kMaxMemoBytes) {
+      refused_(heads_.size() <= 0x10000U, kMaxMemoBytes) {
   bytes_counter().add(bytes_);
 }
 
@@ -206,25 +205,11 @@ bool ConflictCache::refused(std::span<const std::uint32_t> query) const {
 }
 
 void ConflictCache::record_refused(std::span<const std::uint32_t> query) {
-  record(refused_, query);
-}
-
-bool ConflictCache::unprovable(std::span<const std::uint32_t> candidate) const {
-  const std::shared_lock lock(memo_mu_);
-  return unprovable_.contains(candidate);
-}
-
-void ConflictCache::record_unprovable(
-    std::span<const std::uint32_t> candidate) {
-  record(unprovable_, candidate);
-}
-
-void ConflictCache::record(KeyMemo& memo, std::span<const std::uint32_t> key) {
   const std::unique_lock lock(memo_mu_);
-  const std::size_t before = memo.bytes();
-  if (!memo.insert(key)) return;
-  bytes_counter().add(memo.bytes() - before);
-  memo_bytes_counter().add(memo.bytes() - before);
+  const std::size_t before = refused_.bytes();
+  if (!refused_.insert(query)) return;
+  bytes_counter().add(refused_.bytes() - before);
+  memo_bytes_counter().add(refused_.bytes() - before);
 }
 
 ConflictCache::Stats ConflictCache::stats() const {
@@ -236,8 +221,7 @@ ConflictCache::Stats ConflictCache::stats() const {
   }
   const std::shared_lock lock(memo_mu_);
   s.refused = refused_.size();
-  s.unprovable = unprovable_.size();
-  s.bytes += refused_.bytes() + unprovable_.bytes();
+  s.bytes += refused_.bytes();
   return s;
 }
 

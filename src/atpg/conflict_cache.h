@@ -3,33 +3,31 @@
 // Most structurally heavy paths through a fault site are false: their
 // sensitization objectives cannot all hold at once (Section H-4's "false
 // path aware" longest paths).  PODEM finds that out one call at a time.  A
-// ConflictCache remembers three things for one netlist:
+// ConflictCache remembers two things for one netlist:
 //
 //   - cores: sets of (gate, value) objectives that no primary-input
-//     assignment satisfies together, each proven by an exhausted search.
-//     Pinned primary inputs enter a core as objectives on their PI gates.
-//     Whenever some core is a subset of a later call's objectives plus
-//     pins, that call is unsatisfiable too, and Podem::solve returns
-//     nullopt without searching;
+//     assignment satisfies together, each proven by a refutation: unit
+//     propagation of a call's own objectives and pins reached a
+//     contradiction, and the core is the literals it rests on (see
+//     podem.h).  Pinned primary inputs enter a core as objectives on their
+//     PI gates.  Whenever some core is a subset of a later call's
+//     objectives plus pins, that call is unsatisfiable too, and
+//     Podem::solve returns nullopt without searching;
 //   - refused queries (the abort memo): calls whose search spent its whole
 //     backtrack budget.  A search starts from the same baseline on every
 //     call and is a deterministic function of its objectives in call
 //     order, its pins and its budget, so an identical later call would
-//     abort again; Podem::solve answers it nullopt unsearched;
-//   - unprovable candidates: leaf-conflict sets of aborted calls whose
-//     refinement search did not exhaust.  Refining the same candidate with
-//     the same budget would fail the same way, so Podem skips it.
+//     abort again; Podem::solve answers it nullopt unsearched.
 //
-// Every answer is exactly what the search would have returned (see
-// podem.h for which searches count as proofs).  The memos compare whole
-// keys; a hash only picks the slot.
+// Every answer is exactly what the search would have returned.  The abort
+// memo compares whole keys; a hash only picks the slot.
 //
 // One cache serves one netlist and is shared by every thread: lookups take
 // a shared lock, learning an exclusive one.  What the cache holds depends
 // on the order calls arrive in, but no call's answer does.  Cores are
 // capped at kMaxBytes; at the cap the cache stops learning cores and keeps
-// pruning.  Each memo has its own cap, kMaxMemoBytes, which never blocks a
-// core.
+// pruning.  The abort memo has its own cap, kMaxMemoBytes, which never
+// blocks a core.
 #pragma once
 
 #include <cstddef>
@@ -107,8 +105,7 @@ class ConflictCache {
   /// Resident bytes (core literals, core records and the watch index) past
   /// which add() stops learning.
   static constexpr std::size_t kMaxBytes = std::size_t{1} << 20U;
-  /// Resident bytes of each memo (refused queries, unprovable candidates)
-  /// past which it stops recording.
+  /// Resident bytes of the abort memo past which it stops recording.
   static constexpr std::size_t kMaxMemoBytes = std::size_t{2} << 20U;
 
   explicit ConflictCache(const netlist::Netlist& nl);
@@ -134,17 +131,10 @@ class ConflictCache {
   bool refused(std::span<const std::uint32_t> query) const;
   void record_refused(std::span<const std::uint32_t> query);
 
-  /// The unprovable-candidate memo, keyed by Podem's encoding of a
-  /// refinement search (budget, candidate literals in search order): true
-  /// when that search already failed to exhaust.
-  bool unprovable(std::span<const std::uint32_t> candidate) const;
-  void record_unprovable(std::span<const std::uint32_t> candidate);
-
   struct Stats {
     std::size_t cores = 0;
-    std::size_t refused = 0;     ///< queries in the abort memo
-    std::size_t unprovable = 0;  ///< candidates in the candidate memo
-    std::size_t bytes = 0;       ///< resident bytes of cores and memos
+    std::size_t refused = 0;  ///< queries in the abort memo
+    std::size_t bytes = 0;    ///< resident bytes of cores and the memo
   };
   Stats stats() const;
 
@@ -163,7 +153,6 @@ class ConflictCache {
   };
 
   bool covers_locked(std::span<const Literal> query) const;
-  void record(KeyMemo& memo, std::span<const std::uint32_t> key);
 
   mutable std::shared_mutex mu_;
   std::vector<std::uint32_t> heads_;  ///< literal -> first watching core
@@ -173,7 +162,6 @@ class ConflictCache {
 
   mutable std::shared_mutex memo_mu_;
   KeyMemo refused_;
-  KeyMemo unprovable_;
 };
 
 }  // namespace sddd::atpg

@@ -151,8 +151,8 @@ std::vector<PatternPair> site_activating_patterns(
     std::fill(w2.begin(), w2.end(), 0);
     for (std::size_t lane = 0; lane < width; ++lane) {
       for (std::size_t i = 0; i < n_pi; ++i) {
-        w1[i] |= static_cast<std::uint64_t>(rng.bernoulli(0.5)) << lane;
-        w2[i] |= static_cast<std::uint64_t>(rng.bernoulli(0.5)) << lane;
+        w1[i] |= static_cast<std::uint64_t>(rng.coin()) << lane;
+        w2[i] |= static_cast<std::uint64_t>(rng.coin()) << lane;
       }
     }
     words.simulate(w1, w2);

@@ -160,7 +160,7 @@ std::optional<PathDelayTest> PathDelayAtpg::generate(
     for (std::size_t lane = 0; lane < width; ++lane) {
       for (std::size_t i = 0; i < n_pi; ++i) {
         const Tern t = templates->v2[i];
-        const bool v = t == Tern::kX ? fill_rng.bernoulli(0.5) : t == Tern::k1;
+        const bool v = t == Tern::kX ? fill_rng.coin() : t == Tern::k1;
         w2[i] |= static_cast<std::uint64_t>(v) << lane;
       }
       for (std::size_t i = 0; i < n_pi; ++i) {
@@ -172,7 +172,7 @@ std::optional<PathDelayTest> PathDelayAtpg::generate(
           // Quiet side inputs: minimize launch-side activity.
           v = ((w2[i] >> lane) & 1U) != 0;
         } else {
-          v = fill_rng.bernoulli(0.5);
+          v = fill_rng.coin();
         }
         w1[i] |= static_cast<std::uint64_t>(v) << lane;
       }
@@ -211,8 +211,8 @@ PatternPair random_pattern_pair(std::size_t n_inputs, stats::Rng& rng) {
   p.v1.resize(n_inputs);
   p.v2.resize(n_inputs);
   for (std::size_t i = 0; i < n_inputs; ++i) {
-    p.v1[i] = rng.bernoulli(0.5);
-    p.v2[i] = rng.bernoulli(0.5);
+    p.v1[i] = rng.coin();
+    p.v2[i] = rng.coin();
   }
   return p;
 }

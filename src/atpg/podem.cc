@@ -66,11 +66,17 @@ class ImplicationEngine {
     }
   }
 
+  std::size_t gate_count() const { return type_.size(); }
   Tern value(GateId g) const { return values_[g]; }
   CellType type(GateId g) const { return type_[g]; }
   std::span<const GateId> fanins(GateId g) const {
     return {fanins_.data() + fanin_begin_[g],
             fanins_.data() + fanin_begin_[g + 1]};
+  }
+  /// Combinational fan-outs only.
+  std::span<const GateId> fanouts(GateId g) const {
+    return {fanouts_.data() + fanout_begin_[g],
+            fanouts_.data() + fanout_begin_[g + 1]};
   }
 
   /// Sets PI `pi` to `v` and propagates.  Changed gates (including the PI)
@@ -195,9 +201,12 @@ namespace {
 
 Tern from_bool(bool b) { return b ? Tern::k1 : Tern::k0; }
 
-/// How one solve ended.  kPruned and kRepeat never searched: a learned
-/// core covered the call, or an identical call had already aborted.
-enum class Outcome { kSat, kExhausted, kAborted, kDeadEnd, kPruned, kRepeat };
+/// How one solve ended.  kPruned, kRepeat and kRefuted never searched: a
+/// learned core covered the call, an identical call had already aborted,
+/// or the call's own literals implied a contradiction.
+enum class Outcome {
+  kSat, kExhausted, kAborted, kDeadEnd, kPruned, kRepeat, kRefuted
+};
 
 /// Calls and ns per outcome (atpg.podem.<outcome>[_ns]).  With a shared
 /// ConflictCache they depend on the thread schedule, so they stay out of
@@ -208,63 +217,34 @@ struct OutcomeCounters {
 };
 
 OutcomeCounters outcome_counters(Outcome o) {
-  static const std::array<OutcomeCounters, 6> counters = [] {
+  static const std::array<OutcomeCounters, 7> counters = [] {
     auto& reg = obs::MetricsRegistry::instance();
     const auto pair = [&reg](const std::string& name) {
       return OutcomeCounters{&reg.register_counter(name),
                              &reg.register_counter(name + "_ns")};
     };
-    return std::array<OutcomeCounters, 6>{
+    return std::array<OutcomeCounters, 7>{
         pair("atpg.podem.sat"),      pair("atpg.podem.exhausted"),
         pair("atpg.podem.aborted"),  pair("atpg.podem.dead_end"),
-        pair("atpg.podem.pruned"),   pair("atpg.podem.repeat")};
+        pair("atpg.podem.pruned"),   pair("atpg.podem.repeat"),
+        pair("atpg.podem.refuted")};
   }();
   return counters[static_cast<std::size_t>(o)];
 }
 
-/// Learning time; the attempts that proved nothing (an aborted call whose
-/// candidate the refinement search did not exhaust) and their share of
-/// it; and the attempts skipped because the same refinement had already
-/// failed.
-struct LearnCounters {
-  obs::Counter& ns;
-  obs::Counter& unproven;
-  obs::Counter& unproven_ns;
-  obs::Counter& unproven_skipped;
-};
-
-LearnCounters& learn_counters() {
-  static LearnCounters c = [] {
-    auto& reg = obs::MetricsRegistry::instance();
-    return LearnCounters{reg.register_counter("atpg.conflict.learn_ns"),
-                         reg.register_counter("atpg.conflict.unproven"),
-                         reg.register_counter("atpg.conflict.unproven_ns"),
-                         reg.register_counter("atpg.conflict.unproven_skipped")};
-  }();
-  return c;
-}
-
-/// Backtrack budget of a refinement search (see Podem::learn).
-constexpr std::size_t kRefineBacktracks = 100;
-
 /// Status of an objective set under the current implication values.
 enum class Status { kSatisfied, kConflict, kOpen };
 
-/// On kConflict, `*conflict` is the index of the first objective whose
-/// definite value contradicts it.
 Status check(std::span<const Objective> objectives,
-             const ImplicationEngine& engine, const Objective** first_open,
-             std::size_t* conflict) {
+             const ImplicationEngine& engine, const Objective** first_open) {
   Status st = Status::kSatisfied;
   *first_open = nullptr;
-  for (std::size_t i = 0; i < objectives.size(); ++i) {
-    const Objective& obj = objectives[i];
+  for (const Objective& obj : objectives) {
     const Tern v = engine.value(obj.gate);
     if (v == Tern::kX) {
       if (*first_open == nullptr) *first_open = &obj;
       st = Status::kOpen;
     } else if ((v == Tern::k1) != obj.value) {
-      *conflict = i;
       return Status::kConflict;
     }
   }
@@ -311,25 +291,251 @@ std::vector<std::uint32_t> query_key(std::span<const Objective> objectives,
   return key;
 }
 
-/// The candidate memo's key of a refinement search: its budget, then the
-/// candidate's literals in search order.
-std::vector<std::uint32_t> candidate_key(std::span<const Objective> candidate,
-                                         std::size_t budget) {
-  std::vector<std::uint32_t> key;
-  key.reserve(candidate.size() + 1);
-  key.push_back(static_cast<std::uint32_t>(budget));
-  for (const Objective& obj : candidate) key.push_back(to_literal(obj));
-  return key;
-}
-
 }  // namespace
+
+/// Unit propagation of a call's own literals through every gate's
+/// clauses, in both directions, over the engine's compiled netlist and
+/// from its baseline:
+///   - AND/NAND/OR/NOR: a controlling input forces the controlled output
+///     and inputs all non-controlling force the other value; a
+///     non-controlled output forces every input non-controlling, and a
+///     controlled output with one input still open (the others
+///     non-controlling) forces that input to the controlling value;
+///   - NOT/BUF: either pin forces the other;
+///   - XOR/XNOR: the last open pin, output or input, takes the parity.
+/// Constants hold their baseline value; PIs, flip-flops and other sources
+/// are free.  No decision is made, so a contradiction holds under every
+/// PI assignment.  Every implied value keeps its reason (the gate whose
+/// clause implied it, and the one pin that implication rests on or all of
+/// the gate's other pins), so a contradiction is traced back to the call
+/// literals it rests on.  The arrays are per gate and reused; between
+/// calls every gate holds its baseline value.
+class Refuter {
+ public:
+  /// `engine` must be at its baseline whenever refute() runs.
+  explicit Refuter(const ImplicationEngine& engine)
+      : engine_(&engine),
+        values_(engine.gate_count()),
+        reason_(engine.gate_count()),
+        pin_(engine.gate_count()),
+        seen_(engine.gate_count(), 0) {
+    for (GateId g = 0; g < values_.size(); ++g) values_[g] = engine.value(g);
+  }
+
+  /// Propagates the objectives in call order, then the pins (one literal
+  /// per pinned PI, on `inputs[i]`).  On a contradiction returns true and
+  /// sets `core` to the sorted, duplicate-free literals it rests on.
+  bool refute(std::span<const Objective> objectives, std::span<const Tern> pins,
+              std::span<const GateId> inputs, std::vector<Literal>& core) {
+    const bool refuted = [&] {
+      for (const Objective& obj : objectives) {
+        if (!assume(obj.gate, from_bool(obj.value))) return true;
+      }
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        if (pins[i] != Tern::kX && !assume(inputs[i], pins[i])) return true;
+      }
+      return false;
+    }();
+    if (refuted) explain(core);
+    for (const GateId g : trail_) {
+      values_[g] = Tern::kX;
+      seen_[g] = 0;
+    }
+    trail_.clear();
+    head_ = 0;
+    return refuted;
+  }
+
+ private:
+  /// reason_ of a call literal, and pin_ of an implication that rests on
+  /// all of its gate's other pins.
+  static constexpr GateId kCall = netlist::kInvalidGate;
+  static constexpr GateId kAllPins = netlist::kInvalidGate;
+
+  static Tern flip(Tern v) { return v == Tern::k1 ? Tern::k0 : Tern::k1; }
+
+  /// A call literal: false when it contradicts what earlier ones implied.
+  bool assume(GateId g, Tern v) {
+    if (values_[g] == v) return true;
+    if (values_[g] != Tern::kX) {
+      conflict_ = {kCall, kAllPins, g};
+      return false;
+    }
+    set(g, v, kCall, kAllPins);
+    return propagate();
+  }
+
+  void set(GateId g, Tern v, GateId owner, GateId pin) {
+    values_[g] = v;
+    reason_[g] = owner;
+    pin_[g] = pin;
+    trail_.push_back(g);
+  }
+
+  /// g takes v by a clause of `owner`; false when g already holds the
+  /// other value.
+  bool imply(GateId g, Tern v, GateId owner, GateId pin) {
+    if (values_[g] == v) return true;
+    if (values_[g] != Tern::kX) {
+      conflict_ = {owner, pin, g};
+      return false;
+    }
+    set(g, v, owner, pin);
+    return true;
+  }
+
+  /// Applies the clauses of every gate each new value is a pin of.
+  bool propagate() {
+    while (head_ < trail_.size()) {
+      const GateId g = trail_[head_++];
+      if (!clauses(g)) return false;
+      for (const GateId fo : engine_->fanouts(g)) {
+        if (!clauses(fo)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// The clauses of gate g; false on a contradiction.
+  bool clauses(GateId g) {
+    const std::span<const GateId> in = engine_->fanins(g);
+    const CellType type = engine_->type(g);
+    switch (type) {
+      case CellType::kBuf:
+      case CellType::kNot: {
+        const bool inv = type == CellType::kNot;
+        const Tern a = values_[in[0]];
+        if (a != Tern::kX) return imply(g, inv ? flip(a) : a, g, kAllPins);
+        const Tern y = values_[g];
+        if (y != Tern::kX) return imply(in[0], inv ? flip(y) : y, g, kAllPins);
+        return true;
+      }
+      case CellType::kAnd:
+      case CellType::kNand:
+      case CellType::kOr:
+      case CellType::kNor: {
+        const Tern ctrl = from_bool(controlling_value(type));
+        const Tern controlled =
+            from_bool(controlling_value(type) != is_inverting(type));
+        std::size_t open = 0;
+        GateId last_open = netlist::kInvalidGate;
+        for (const GateId f : in) {
+          const Tern v = values_[f];
+          if (v == ctrl) return imply(g, controlled, g, f);
+          if (v == Tern::kX) {
+            ++open;
+            last_open = f;
+          }
+        }
+        if (open == 0) return imply(g, flip(controlled), g, kAllPins);
+        const Tern y = values_[g];
+        if (y == flip(controlled)) {
+          for (const GateId f : in) {
+            if (values_[f] == Tern::kX) set(f, flip(ctrl), g, g);
+          }
+        } else if (y == controlled && open == 1) {
+          return imply(last_open, ctrl, g, kAllPins);
+        }
+        return true;
+      }
+      case CellType::kXor:
+      case CellType::kXnor: {
+        // The output and the inputs XOR to 1 for XNOR, to 0 for XOR.
+        bool parity = type == CellType::kXnor;
+        std::size_t open = 0;
+        GateId last_open = netlist::kInvalidGate;
+        const auto pin = [&](GateId p) {
+          const Tern v = values_[p];
+          if (v == Tern::kX) {
+            ++open;
+            last_open = p;
+          } else {
+            parity ^= v == Tern::k1;
+          }
+        };
+        pin(g);
+        for (const GateId f : in) pin(f);
+        if (open == 1) return imply(last_open, from_bool(parity), g, kAllPins);
+        if (open == 0 && parity) {
+          conflict_ = {g, kAllPins, g};
+          return false;
+        }
+        return true;
+      }
+      default:
+        return true;  // sources and constants have no clauses
+    }
+  }
+
+  /// Queues gate g for explain() when a call literal put it on the trail
+  /// (baseline values hold under every assignment and need no reason).
+  void mark(GateId g, std::size_t& pending) {
+    if (seen_[g] != 0 || engine_->value(g) != Tern::kX) return;
+    seen_[g] = 1;
+    ++pending;
+  }
+
+  void mark_pins(GateId owner, std::size_t& pending) {
+    mark(owner, pending);
+    for (const GateId f : engine_->fanins(owner)) mark(f, pending);
+  }
+
+  /// The call literals the contradiction rests on: walks the reasons back
+  /// from the conflict's gates, latest first, so a gate's reasons are
+  /// queued before the walk reaches them.
+  void explain(std::vector<Literal>& core) {
+    core.clear();
+    std::size_t pending = 0;
+    if (conflict_.owner == kCall) {
+      // The call literal is the value the gate does not hold.
+      const GateId g = conflict_.gate;
+      core.push_back(to_literal(Objective{g, values_[g] == Tern::k0}));
+      mark(g, pending);
+    } else if (conflict_.pin == kAllPins) {
+      mark_pins(conflict_.owner, pending);
+    } else {
+      mark(conflict_.pin, pending);
+      mark(conflict_.gate, pending);
+    }
+    for (std::size_t i = trail_.size(); i-- > 0 && pending > 0;) {
+      const GateId g = trail_[i];
+      if (seen_[g] == 0) continue;
+      --pending;
+      if (reason_[g] == kCall) {
+        core.push_back(to_literal(Objective{g, values_[g] == Tern::k1}));
+      } else if (pin_[g] == kAllPins) {
+        mark_pins(reason_[g], pending);
+      } else {
+        mark(pin_[g], pending);
+      }
+    }
+    std::sort(core.begin(), core.end());
+    core.erase(std::unique(core.begin(), core.end()), core.end());
+  }
+
+  /// The clause that failed: the gate owning it (kCall for a call
+  /// literal), the pin its implication rested on, and the gate that would
+  /// have taken both values.
+  struct Conflict {
+    GateId owner = kCall;
+    GateId pin = kAllPins;
+    GateId gate = netlist::kInvalidGate;
+  };
+
+  const ImplicationEngine* engine_;
+  std::vector<Tern> values_;
+  std::vector<GateId> reason_;  ///< owner of the implying clause, or kCall
+  std::vector<GateId> pin_;     ///< the one pin it rests on, or kAllPins
+  std::vector<std::uint8_t> seen_;
+  std::vector<GateId> trail_;  ///< gates off their baseline, in order
+  std::size_t head_ = 0;       ///< next trail entry to propagate
+  Conflict conflict_;
+};
 
 struct Podem::Search {
   Outcome outcome = Outcome::kExhausted;
   std::vector<Tern> pi;
   std::size_t backtracks = 0;
-  /// Per objective: 1 when it was the conflict at some leaf.
-  std::vector<char> conflicted;
 };
 
 Podem::Podem(const Netlist& nl, const netlist::Levelization& lev,
@@ -340,6 +546,7 @@ Podem::Podem(const Netlist& nl, const netlist::Levelization& lev,
   if (conflicts != nullptr && conflicts->gate_count() != nl.gate_count()) {
     throw std::invalid_argument("Podem: ConflictCache built for another netlist");
   }
+  if (conflicts != nullptr) refuter_ = std::make_unique<Refuter>(*engine_);
   input_index_.assign(nl.gate_count(), -1);
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     input_index_[nl.inputs()[i]] = static_cast<std::int32_t>(i);
@@ -355,7 +562,6 @@ Podem::Search Podem::search(std::span<const Objective> objectives,
   ImplicationEngine& engine = *engine_;
   Search s;
   s.pi.assign(nl.inputs().size(), Tern::kX);
-  s.conflicted.assign(objectives.size(), 0);
   std::vector<Tern>& pi = s.pi;
   bool aborted = false;
   bool dead_end = false;
@@ -462,10 +668,8 @@ Podem::Search Podem::search(std::span<const Objective> objectives,
   // Depth-first decision search on PIs with event-driven implication.
   const auto dfs = [&](auto&& self) -> bool {
     const Objective* open = nullptr;
-    std::size_t conflict = 0;
-    switch (check(objectives, engine, &open, &conflict)) {
+    switch (check(objectives, engine, &open)) {
       case Status::kConflict:
-        s.conflicted[conflict] = 1;
         return false;
       case Status::kSatisfied:
         return true;
@@ -506,70 +710,6 @@ Podem::Search Podem::search(std::span<const Objective> objectives,
   return s;
 }
 
-void Podem::learn(std::span<const Objective> objectives, const Search& first,
-                  std::span<const Tern> pins,
-                  std::size_t max_backtracks) const {
-  const std::uint64_t t0 = obs::now_ns();
-  LearnCounters& counters = learn_counters();
-  // Every full PI assignment that agrees with the pins extends one leaf of
-  // an exhausted search, and at that leaf some objective marked in
-  // `conflicted` already holds the wrong definite value: those objectives
-  // plus the pins are unsatisfiable on their own.  An aborted search
-  // proves nothing, so its marked objectives plus pins are only a
-  // candidate until a search of the candidate alone is exhausted.
-  std::vector<Objective> core;
-  for (std::size_t i = 0; i < objectives.size(); ++i) {
-    if (first.conflicted[i] != 0) core.push_back(objectives[i]);
-  }
-  for (std::size_t i = 0; i < pins.size(); ++i) {
-    if (pins[i] != Tern::kX) {
-      core.push_back(Objective{nl_->inputs()[i], pins[i] == Tern::k1});
-    }
-  }
-  bool proven = first.outcome == Outcome::kExhausted;
-  // Refinement: the same argument on a search of the core alone, with the
-  // pins as its last objectives, so a pin that no leaf needs drops out.
-  // A search of a few objectives is focused where the call's own search
-  // was not, so a smaller budget proves most provable candidates; on the
-  // s9234 stand-in the call's full budget cost more learning time than
-  // the aborted calls it additionally pruned saved.
-  const std::size_t budget = std::min(max_backtracks, kRefineBacktracks);
-  // An unproven candidate is proven by its first refinement search or
-  // not at all, and that search is a function of the candidate's order
-  // and the budget: one that already failed would fail again.
-  std::vector<std::uint32_t> key;
-  if (!proven) {
-    key = candidate_key(core, budget);
-    if (conflicts_->unprovable(key)) {
-      counters.unproven_skipped.add(1);
-      counters.ns.add(obs::now_ns() - t0);
-      return;
-    }
-  }
-  for (;;) {
-    const Search s = search(core, {}, budget);
-    if (s.outcome != Outcome::kExhausted) break;
-    proven = true;
-    std::vector<Objective> next;
-    for (std::size_t i = 0; i < core.size(); ++i) {
-      if (s.conflicted[i] != 0) next.push_back(core[i]);
-    }
-    if (next.size() >= core.size()) break;
-    core = std::move(next);
-  }
-  if (proven) {
-    conflicts_->add(query_literals(core, {}, *nl_));
-  } else {
-    conflicts_->record_unprovable(key);
-  }
-  const std::uint64_t ns = obs::now_ns() - t0;
-  counters.ns.add(ns);
-  if (!proven) {
-    counters.unproven.add(1);
-    counters.unproven_ns.add(ns);
-  }
-}
-
 std::optional<PodemResult> Podem::solve(
     std::span<const Objective> objectives, std::size_t max_backtracks,
     std::span<const Tern> pre_assigned) const {
@@ -603,12 +743,16 @@ std::optional<PodemResult> Podem::solve(
       }
     }
   }
+  if (conflicts_ != nullptr) {
+    std::vector<Literal> core;
+    if (refuter_->refute(objectives, pre_assigned, nl.inputs(), core)) {
+      conflicts_->add(core);
+      count(Outcome::kRefuted);
+      return std::nullopt;
+    }
+  }
   Search s = search(objectives, pre_assigned, max_backtracks);
   count(s.outcome);
-  if (conflicts_ != nullptr && (s.outcome == Outcome::kExhausted ||
-                                s.outcome == Outcome::kAborted)) {
-    learn(objectives, s, pre_assigned, max_backtracks);
-  }
   if (s.outcome == Outcome::kAborted && !key.empty()) {
     conflicts_->record_refused(key);
   }

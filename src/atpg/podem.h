@@ -9,7 +9,11 @@
 // contradictions backtrack with a bounded budget.  Implication runs on a
 // compiled event-driven engine (CSR fan-ins and fan-outs, flat cell types
 // and levels, inline ternary evaluation) that re-evaluates only the cone
-// an assignment changes, level by level.
+// an assignment changes, level by level.  With a ConflictCache, a call is
+// first refuted if it can be: unit propagation of its own objectives and
+// pins through every gate's clauses, in both directions, proves most
+// false paths unsatisfiable without a decision (Larrabee's SAT view of
+// ATPG), and the literals such a proof rests on become a learned core.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +42,12 @@ struct PodemResult {
 
 class ConflictCache;
 class ImplicationEngine;
+class Refuter;
 
 class Podem {
  public:
   /// `conflicts` (optional, built for `nl`) answers calls the solver has
-  /// already settled and learns from this solver's searches.
+  /// already settled and learns from this solver's refutations.
   Podem(const netlist::Netlist& nl, const netlist::Levelization& lev,
         ConflictCache* conflicts = nullptr);
   ~Podem();
@@ -61,18 +66,24 @@ class Podem {
   ///     flip-flop no scan transform has cut), so part of the search space
   ///     was skipped.  Constant gates hold their value, so an objective on
   ///     one is satisfied or conflicts at once.
-  /// Only an exhausted search is a proof, and only proofs feed the
-  /// ConflictCache's cores: the conflicts of an aborted search become a
-  /// core only after a search of them alone is exhausted.  A call some
-  /// learned core covers, or one identical to a call that already aborted
-  /// (the same objectives in the same order, pins and budget), returns
-  /// std::nullopt without searching, which is what the search would have
-  /// returned.
+  ///
+  /// With a ConflictCache, three steps come before the search, and each
+  /// returns std::nullopt unsearched, which is what the search would have
+  /// returned (it draws no random numbers, so skipping it moves nothing):
+  ///   - pruned: some learned core is a subset of the objectives plus pins;
+  ///   - repeat: an identical call (the same objectives in the same order,
+  ///     pins and budget) already aborted;
+  ///   - refuted: unit propagation of the objectives and pins alone, in
+  ///     call order, through every gate's clauses in both directions,
+  ///     reaches a contradiction.  A contradiction implied by the literals
+  ///     alone holds under every PI assignment, so no search finds a test.
+  ///     The objective and pin literals it rests on are learned as a core.
+  /// Searches learn nothing; an aborted one enters the abort memo.
   ///
   /// A Podem owns the implication engine it searches with (kept at its
-  /// baseline between calls: PIs at X, constants at their value), so
-  /// solve() mutates it: never share one Podem across threads.  A
-  /// ConflictCache may be shared.
+  /// baseline between calls: PIs at X, constants at their value) and the
+  /// refuter's per-gate arrays, so solve() mutates them: never share one
+  /// Podem across threads.  A ConflictCache may be shared.
   std::optional<PodemResult> solve(
       std::span<const Objective> objectives, std::size_t max_backtracks = 2000,
       std::span<const logicsim::Tern> pre_assigned = {}) const;
@@ -86,19 +97,11 @@ class Podem {
                 std::span<const logicsim::Tern> pins,
                 std::size_t max_backtracks) const;
 
-  /// Learns a core from an exhausted or aborted search: the objectives
-  /// that conflicted at its leaves plus the pins, refined by re-solving
-  /// the core alone (pins last) until it stops shrinking.  It is recorded
-  /// only once some exhausted search proves it; an aborted search's
-  /// candidate whose refinement already failed once is not refined again.
-  void learn(std::span<const Objective> objectives, const Search& first,
-             std::span<const logicsim::Tern> pins,
-             std::size_t max_backtracks) const;
-
   const netlist::Netlist* nl_;
   std::vector<std::int32_t> input_index_;  ///< gate id -> PI position or -1
   ConflictCache* conflicts_;
   std::unique_ptr<ImplicationEngine> engine_;
+  std::unique_ptr<Refuter> refuter_;  ///< only with a ConflictCache
 };
 
 }  // namespace sddd::atpg

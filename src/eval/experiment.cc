@@ -678,20 +678,13 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
   ph.podem_dead_end = podem("atpg.podem.dead_end");
   ph.podem_pruned = podem("atpg.podem.pruned");
   ph.podem_repeat = podem("atpg.podem.repeat");
+  ph.podem_refuted = podem("atpg.podem.refuted");
   ph.conflict_cores = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.cores");
   ph.conflict_bytes = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.bytes");
   ph.conflict_memo_bytes = obs::MetricsSnapshot::counter_delta(
       snap_start, snap_end, "atpg.conflict.memo_bytes");
-  ph.conflict_learn_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
-      snap_start, snap_end, "atpg.conflict.learn_ns");
-  ph.conflict_unproven = obs::MetricsSnapshot::counter_delta(
-      snap_start, snap_end, "atpg.conflict.unproven");
-  ph.conflict_unproven_cpu_seconds = obs::MetricsSnapshot::delta_ns_to_seconds(
-      snap_start, snap_end, "atpg.conflict.unproven_ns");
-  ph.conflict_unproven_skipped = obs::MetricsSnapshot::counter_delta(
-      snap_start, snap_end, "atpg.conflict.unproven_skipped");
   for (const char* name : PhaseBreakdown::kStageCounters) {
     ph.stages.emplace_back(
         name, obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name));

@@ -211,17 +211,14 @@ struct PhaseBreakdown {
   PodemOutcome podem_pruned;
   /// Calls identical to one that already aborted: answered unsearched.
   PodemOutcome podem_repeat;
+  /// Calls whose own literals implied a contradiction: answered unsearched,
+  /// each learning a core.
+  PodemOutcome podem_refuted;
   std::uint64_t conflict_cores = 0;
-  /// Bytes the cache grew by (cores and memos), and the memos' share.
+  /// Bytes the cache grew by (cores and the abort memo), and the memo's
+  /// share.
   std::uint64_t conflict_bytes = 0;
   std::uint64_t conflict_memo_bytes = 0;
-  double conflict_learn_cpu_seconds = 0.0;
-  /// Learning attempts that proved nothing, and their CPU seconds (part of
-  /// conflict_learn_cpu_seconds).
-  std::uint64_t conflict_unproven = 0;
-  double conflict_unproven_cpu_seconds = 0.0;
-  /// Attempts skipped because the same refinement had already failed.
-  std::uint64_t conflict_unproven_skipped = 0;
 
   /// Stage counters, in kStageCounters order as (metric name, count): the
   /// injection draws and why each was rejected, then the ATPG stages and

@@ -182,15 +182,12 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
     outcome("pruned", ph.podem_pruned);
     os << ", ";
     outcome("repeat", ph.podem_repeat);
+    os << ",\n                          ";
+    outcome("refuted", ph.podem_refuted);
     os << "},\n"
        << "                \"conflict\": {\"cores\": " << ph.conflict_cores
        << ", \"bytes\": " << ph.conflict_bytes
-       << ", \"memo_bytes\": " << ph.conflict_memo_bytes
-       << ", \"learn_cpu_s\": " << ph.conflict_learn_cpu_seconds
-       << ", \"unproven\": " << ph.conflict_unproven
-       << ", \"unproven_cpu_s\": " << ph.conflict_unproven_cpu_seconds
-       << ", \"unproven_skipped\": " << ph.conflict_unproven_skipped
-       << "},\n";
+       << ", \"memo_bytes\": " << ph.conflict_memo_bytes << "},\n";
     // Stage counters do not depend on the schedule (see PhaseBreakdown).
     os << "                \"stages\": {";
     for (std::size_t k = 0; k < ph.stages.size(); ++k) {

@@ -49,7 +49,7 @@ class Rng {
   /// Next 32 uniform random bits.
   result_type next() {
     const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    step();
     const auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18U) ^ old) >> 27U);
     const auto rot = static_cast<std::uint32_t>(old >> 59U);
@@ -93,6 +93,15 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }
 
+  /// A fair coin, bit for bit bernoulli(0.5), leaving the same state:
+  /// uniform01() < 0.5 holds exactly when bit 31 of its first output is
+  /// clear, so the second output is never computed, only its state step.
+  bool coin() {
+    const bool heads = (next() >> 31U) == 0;
+    step();
+    return heads;
+  }
+
   /// Derives an independent child stream.  Used to give each Monte-Carlo
   /// instance / suspect fault / worker its own reproducible stream without
   /// the sequences overlapping.
@@ -104,6 +113,8 @@ class Rng {
   }
 
  private:
+  void step() { state_ = state_ * 6364136223846793005ULL + inc_; }
+
   std::uint64_t state_ = 0;
   std::uint64_t inc_ = 0;
 };

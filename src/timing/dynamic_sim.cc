@@ -381,10 +381,13 @@ namespace {
 /// The nominal-arrival recurrence over one pattern's activity, read
 /// through TransitionGraph's accessors (toggles, rule, is_active).  A
 /// toggling gate takes the MIN (from +inf) or the MAX (from 0) of
-/// arr[fanin] + mean over its active arcs.  Both folds run over every pin,
-/// an inactive arc contributing the fold's identity, and the rule picks
-/// one afterwards: every pattern activates a different subset of arcs, so
-/// a branch per arc would mispredict about as often as it is taken.
+/// arr[fanin] + mean over its active arcs.  Which gates toggle differs
+/// from pattern to pattern, so the toggling gates are first compacted into
+/// a list in topological order (every gate is written, only a toggling one
+/// advances the list), and only they are folded.  Both folds run over
+/// every pin, an inactive arc contributing the fold's identity, and the
+/// rule picks one afterwards: a branch per arc would mispredict about as
+/// often as it is taken.
 template <typename Activity>
 std::vector<double> nominal_recurrence(const Activity& act,
                                        const ArcDelayModel& model,
@@ -392,8 +395,15 @@ std::vector<double> nominal_recurrence(const Activity& act,
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const Netlist& nl = model.netlist();
   std::vector<double> arr(nl.gate_count(), -1.0);
-  for (const GateId g : lev.topo_order()) {
-    if (!act.toggles(g)) continue;
+  const std::vector<GateId>& topo = lev.topo_order();
+  std::vector<GateId> toggling(topo.size());
+  std::size_t n_toggling = 0;
+  for (const GateId g : topo) {
+    toggling[n_toggling] = g;
+    n_toggling += act.toggles(g) ? 1U : 0U;
+  }
+  for (std::size_t k = 0; k < n_toggling; ++k) {
+    const GateId g = toggling[k];
     const netlist::Gate& gate = nl.gate(g);
     if (!is_combinational(gate.type)) {
       arr[g] = 0.0;

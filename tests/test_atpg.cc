@@ -1,6 +1,7 @@
 // Unit tests for the ATPG substrate: PODEM objective satisfaction (also
-// against the event-simulator oracle of podem_oracle.h), the conflict
-// cache and its memos, path sensitization (non-robust and robust), GA fill
+// against the event-simulator oracle of podem_oracle.h), refutation by
+// propagation, the conflict cache's cores and abort memo, path
+// sensitization (non-robust and robust), GA fill
 // and the diagnostic pattern-set generator, whose site search, gate and
 // fill loop are also checked against the scalar oracle of
 // activity_oracle.h.
@@ -163,8 +164,8 @@ bool reproves(const Netlist& nl, const Levelization& lev,
          counter("atpg.podem.exhausted") == before + 1;
 }
 
-// y = AND(a, b) and w = NOR(a, b) cannot both be 1; the first decision
-// (a = 1) conflicts, so refuting it takes backtracks.
+// y = AND(a, b) and w = NOR(a, b) cannot both be 1: y = 1 implies a = 1,
+// which implies w = 0, so propagation refutes the pair.
 struct AndNor {
   Netlist nl{"and_nor"};
   GateId a, b, y, w;
@@ -179,14 +180,34 @@ struct AndNor {
   }
 };
 
-TEST(ConflictCache, ExhaustedSearchLearnsAndPrunes) {
+// y = XOR(a, b) and w = XNOR(a, b) cannot both be 1, but each leaves two
+// pins open, so propagation implies nothing: only a search settles the
+// pair, and its first decision conflicts, so that takes backtracks.
+struct XorXnor {
+  Netlist nl{"xor_xnor"};
+  GateId a, b, y, w;
+  XorXnor() {
+    a = nl.add_input("a");
+    b = nl.add_input("b");
+    y = nl.add_gate(CellType::kXor, "y", {a, b});
+    w = nl.add_gate(CellType::kXnor, "w", {a, b});
+    nl.add_output(y);
+    nl.add_output(w);
+    nl.freeze();
+  }
+};
+
+TEST(ConflictCache, RefutedCallLearnsAndPrunes) {
   AndNor c;
   const Levelization lev(c.nl);
   ConflictCache cache(c.nl);
   const Podem podem(c.nl, lev, &cache);
   const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
+  const std::uint64_t refuted = counter("atpg.podem.refuted");
   EXPECT_FALSE(podem.solve(obj).has_value());
-  EXPECT_EQ(cache.stats().cores, 1u);
+  EXPECT_EQ(counter("atpg.podem.refuted"), refuted + 1);
+  ASSERT_EQ(cache.stats().cores, 1u);
+  EXPECT_EQ(cache.cores()[0].size(), 2u);  // y = 1 and w = 1
   EXPECT_GT(cache.stats().bytes, 0u);
   // The same objectives, or any superset, are now answered unsearched.
   const std::uint64_t pruned = counter("atpg.podem.pruned");
@@ -197,16 +218,27 @@ TEST(ConflictCache, ExhaustedSearchLearnsAndPrunes) {
   EXPECT_EQ(counter("atpg.podem.pruned"), pruned + 2);
   // A satisfiable subset is still solved.
   EXPECT_TRUE(podem.solve(std::vector<Objective>{{c.y, true}}).has_value());
+
+  // Only refutations learn: an unsatisfiable pair that propagation leaves
+  // open is searched to exhaustion, and the search learns nothing.
+  XorXnor x;
+  const Levelization x_lev(x.nl);
+  ConflictCache x_cache(x.nl);
+  const Podem x_podem(x.nl, x_lev, &x_cache);
+  const std::uint64_t exhausted = counter("atpg.podem.exhausted");
+  EXPECT_FALSE(
+      x_podem.solve(std::vector<Objective>{{x.y, true}, {x.w, true}}).has_value());
+  EXPECT_EQ(counter("atpg.podem.exhausted"), exhausted + 1);
+  EXPECT_EQ(x_cache.stats().cores, 0u);
 }
 
 TEST(ConflictCache, AbortAndDeadEndLearnNothing) {
-  AndNor c;
+  XorXnor c;
   const Levelization lev(c.nl);
   ConflictCache cache(c.nl);
   const Podem podem(c.nl, lev, &cache);
-  // The unsatisfiable pair ExhaustedSearchLearnsAndPrunes learns from: at
-  // budget 0 the search aborts, and refinement never searches harder than
-  // the call, so its candidate stays unproven.
+  // An unsatisfiable pair that propagation cannot refute: at budget 0 the
+  // search aborts, which proves nothing.
   const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
   const std::uint64_t aborted = counter("atpg.podem.aborted");
   EXPECT_FALSE(podem.solve(obj, 0).has_value());
@@ -234,7 +266,7 @@ TEST(ConflictCache, AbortAndDeadEndLearnNothing) {
 TEST(ConflictCache, ConstantsHoldTheirValue) {
   // z = OR(AND(a, b), k) with k tied to 0: the implication's baseline
   // holds k = 0, so {y = 1, k = 0} is satisfiable and {k = 1} conflicts
-  // before any decision, an exhausted search that proves a core.
+  // with the baseline itself, a refutation whose core is that literal.
   Netlist nl("const");
   const auto a = nl.add_input("a");
   const auto b = nl.add_input("b");
@@ -250,9 +282,9 @@ TEST(ConflictCache, ConstantsHoldTheirValue) {
   const auto sat = podem.solve(std::vector<Objective>{{y, true}, {k, false}});
   ASSERT_TRUE(sat.has_value());
   EXPECT_EQ(sim.simulate(sat->pi_values)[y], Tern::k1);
-  const std::uint64_t exhausted = counter("atpg.podem.exhausted");
+  const std::uint64_t refuted = counter("atpg.podem.refuted");
   EXPECT_FALSE(podem.solve(std::vector<Objective>{{k, true}}).has_value());
-  EXPECT_EQ(counter("atpg.podem.exhausted"), exhausted + 1);
+  EXPECT_EQ(counter("atpg.podem.refuted"), refuted + 1);
   ASSERT_EQ(cache.stats().cores, 1u);
   ASSERT_EQ(cache.cores()[0].size(), 1u);
   EXPECT_EQ(cache.cores()[0][0].gate, k);
@@ -298,6 +330,79 @@ TEST(ConflictCache, LearnedCoresAreSubsetsThatReprove) {
   EXPECT_GT(learned, 20u);
 }
 
+// Every refuted call and the core it learns are unsatisfiable: on a
+// 16-PI netlist, random objective sets with pins are checked against all
+// 2^16 PI assignments.
+TEST(ConflictCache, RefutationIsSound) {
+  AtpgFixture f;
+  const Netlist& nl = f.nl;
+  const std::size_t n_pi = nl.inputs().size();
+  ASSERT_GE(n_pi, 6u);
+  ASSERT_LE(n_pi, 16u);
+  for (GateId g = 0; g < nl.gate_count(); ++g) {
+    ASSERT_NE(nl.gate(g).type, CellType::kDff) << "PIs must be every source";
+  }
+  // rows[g * words + w], bit k: gate g's value under PI assignment
+  // 64 w + k, in which PI i takes bit i of the assignment.
+  const std::size_t words = (std::size_t{1} << n_pi) / 64;
+  std::vector<std::uint64_t> rows(nl.gate_count() * words);
+  const BitSimulator sim(nl, f.lev);
+  constexpr std::uint64_t kLow[6] = {
+      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+  std::vector<std::uint64_t> pi_words(n_pi);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t i = 0; i < n_pi; ++i) {
+      pi_words[i] = i < 6 ? kLow[i] : ((w >> (i - 6)) & 1U) != 0 ? ~0ULL : 0;
+    }
+    const auto values = sim.simulate(pi_words);
+    for (GateId g = 0; g < nl.gate_count(); ++g) rows[g * words + w] = values[g];
+  }
+  const auto satisfiable = [&](const std::vector<Literal>& lits) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t m = ~0ULL;
+      for (const Literal lit : lits) {
+        const std::uint64_t row = rows[(lit >> 1U) * words + w];
+        m &= (lit & 1U) != 0 ? row : ~row;
+      }
+      if (m != 0) return true;
+    }
+    return false;
+  };
+  stats::Rng rng(61);
+  std::size_t refuted = 0;
+  for (int t = 0; t < 600; ++t) {
+    std::vector<Objective> obj;
+    for (std::size_t i = 1 + rng.below(8); i > 0; --i) {
+      obj.push_back({static_cast<GateId>(rng.below(
+                         static_cast<std::uint32_t>(nl.gate_count()))),
+                     rng.bernoulli(0.5)});
+    }
+    std::vector<Tern> pins(n_pi, Tern::kX);
+    for (std::size_t p = rng.below(4); p > 0; --p) {
+      pins[rng.below(static_cast<std::uint32_t>(n_pi))] =
+          rng.bernoulli(0.5) ? Tern::k1 : Tern::k0;
+    }
+    // A fresh cache: the call is refuted, not pruned, whenever it can be.
+    ConflictCache cache(nl);
+    const Podem podem(nl, f.lev, &cache);
+    const std::uint64_t before = counter("atpg.podem.refuted");
+    const auto got = podem.solve(obj, 300, pins);
+    if (counter("atpg.podem.refuted") != before + 1) continue;
+    ++refuted;
+    EXPECT_FALSE(got.has_value());
+    const auto query = literals_of(nl, obj, pins);
+    EXPECT_FALSE(satisfiable(query)) << "call " << t;
+    ASSERT_EQ(cache.stats().cores, 1u);
+    const auto core = literals_of(nl, cache.cores()[0], {});
+    EXPECT_TRUE(std::includes(query.begin(), query.end(), core.begin(),
+                              core.end()))
+        << "core literal outside the call's objectives and pins";
+    EXPECT_FALSE(satisfiable(core)) << "call " << t;
+  }
+  EXPECT_GT(refuted, 100u);
+}
+
 TEST(ConflictCache, CapStopsLearningNotPruning) {
   AtpgFixture f;
   ConflictCache cache(f.nl);
@@ -337,7 +442,7 @@ void expect_same_answer(const std::optional<PodemResult>& got,
 }
 
 TEST(ConflictCache, AbortMemoIsExact) {
-  AndNor c;
+  XorXnor c;
   const Levelization lev(c.nl);
   ConflictCache cache(c.nl);
   const Podem cached(c.nl, lev, &cache);
@@ -354,29 +459,22 @@ TEST(ConflictCache, AbortMemoIsExact) {
   const std::vector<Tern> free(c.nl.inputs().size(), Tern::kX);
   const std::vector<Objective> obj = {{c.y, true}, {c.w, true}};
   // At budget 0 the first search aborts; an identical call is answered
-  // unsearched, and unlearned.
+  // unsearched.
   EXPECT_FALSE(repeat(obj, 0, free));
   EXPECT_EQ(cache.stats().refused, 1u);
-  const std::uint64_t unproven = counter("atpg.conflict.unproven");
-  const std::uint64_t skipped = counter("atpg.conflict.unproven_skipped");
   EXPECT_TRUE(repeat(obj, 0, free));
   EXPECT_TRUE(repeat(obj, 0, {}));  // no pins = every PI free
-  EXPECT_EQ(counter("atpg.conflict.unproven"), unproven);
-  EXPECT_EQ(counter("atpg.conflict.unproven_skipped"), skipped);
-  // Another query whose search aborts on the same leaf conflicts (w = 1)
-  // is searched, but its learning candidate, refined once already, is not.
-  EXPECT_FALSE(repeat({obj[0], obj[1], obj[0]}, 0, free));
-  EXPECT_EQ(counter("atpg.conflict.unproven"), unproven);
-  EXPECT_EQ(counter("atpg.conflict.unproven_skipped"), skipped + 1);
-  EXPECT_EQ(cache.stats().unprovable, 1u);
-  // The same objectives in another order, under other pins or with a
-  // larger budget are other searches.
+  // The same objectives in another order or repeated, under other pins
+  // or with a larger budget are other calls.
   EXPECT_FALSE(repeat({obj[1], obj[0]}, 0, free));
+  EXPECT_FALSE(repeat({obj[0], obj[1], obj[0]}, 0, free));
   std::vector<Tern> pins = free;
   pins[1] = Tern::k0;
   EXPECT_FALSE(repeat(obj, 0, pins));
   EXPECT_FALSE(repeat(obj, 2, free));
-  EXPECT_EQ(cache.stats().cores, 2u);  // pinned b = 0 and budget 2 proved
+  EXPECT_EQ(cache.stats().refused, 4u);
+  // Pinned b = 0 leaves one pin of each gate open: it was refuted.
+  EXPECT_EQ(cache.stats().cores, 1u);
 
   // On a stand-in: every heavy path's capture query at a budget that
   // aborts, twice, then at one that decides it.  Some query must abort at
@@ -495,7 +593,9 @@ TEST(ConflictCache, SharedAcrossThreadsMatchesOneThread) {
     }
   }
   ASSERT_GT(queries.size(), 100u);
-  constexpr std::size_t kBudget = 30;
+  // Propagation refutes every unsatisfiable query here, so only a
+  // satisfiable one can abort: at budget 0, any that needs a backtrack.
+  constexpr std::size_t kBudget = 0;
   using Answers = std::vector<std::optional<PodemResult>>;
   const auto run = [&](std::size_t threads) {
     ConflictCache cache(nl);
@@ -532,7 +632,8 @@ class ConflictEquivalence : public ::testing::TestWithParam<const char*> {};
 
 // Every PODEM call of sensitization - each candidate path and polarity,
 // v2 and v1, non-robust and robust - answers the same with a cache warmed
-// by earlier sites as without one, the first time and when repeated.
+// by earlier sites as without one, the first time and when repeated, and
+// no learned core has a test.
 TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
   const Netlist nl =
       netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
@@ -570,12 +671,74 @@ TEST_P(ConflictEquivalence, CachedSolvesMatchCacheFree) {
   if (std::string(GetParam()) == "s9234") {
     EXPECT_GT(counter("atpg.podem.repeat"), repeat0);
   }
+  // A search of a core alone may abort (that is why refutation runs
+  // first), but it never finds a test.
   EXPECT_GT(cache.stats().cores, 0u);
-  for (const auto& core : cache.cores()) EXPECT_TRUE(reproves(nl, lev, core));
+  const Podem search(nl, lev);
+  for (const auto& core : cache.cores()) {
+    EXPECT_FALSE(search.solve(core, 3000).has_value());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Standins, ConflictEquivalence, ::testing::Values("s1196", "s9234"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
+
+class RefutationMatchesOracle : public ::testing::TestWithParam<const char*> {};
+
+// Every sensitization query the refuter answers - the capture query of
+// each heavy path and polarity, and the launch queries of those that have
+// a capture vector - gets no test from the cache-free oracle search at
+// 3,000 backtracks either.
+TEST_P(RefutationMatchesOracle, RefutedQueriesHaveNoTest) {
+  const Netlist nl =
+      netlist::make_standin(*netlist::find_profile(GetParam()), 0.15, 7);
+  const Levelization lev(nl);
+  const timing::StatisticalCellLibrary lib;
+  const timing::ArcDelayModel model(nl, lib);
+  const test_oracle::OraclePodem oracle(nl, lev);
+  std::size_t queries = 0;
+  std::size_t refuted = 0;
+  const auto solve = [&](const test_oracle::PodemQuery& q) {
+    // A fresh cache: the query is refuted, not pruned, whenever it can be.
+    ConflictCache cache(nl);
+    const Podem podem(nl, lev, &cache);
+    const std::uint64_t before = counter("atpg.podem.refuted");
+    auto got = podem.solve(q.objectives, 300, q.pins);
+    ++queries;
+    if (counter("atpg.podem.refuted") == before + 1) {
+      ++refuted;
+      EXPECT_FALSE(got.has_value());
+      EXPECT_NE(oracle.solve(q.objectives, 3000, q.pins).outcome,
+                test_oracle::PodemOutcome::kSat);
+    }
+    return got;
+  };
+  const ArcId step = std::max<ArcId>(1, static_cast<ArcId>(nl.arc_count() / 24));
+  for (ArcId site = 0; site < nl.arc_count(); site += step) {
+    for (const auto& path :
+         paths::k_heaviest_paths_through(nl, lev, model.means(), site, 32)) {
+      if (test_oracle::origin_position(nl, path) < 0) continue;
+      for (const bool rising : {true, false}) {
+        const auto v2 = solve(test_oracle::sensitize_v2_query(nl, path, rising));
+        if (!v2) continue;
+        for (const bool robust : {false, true}) {
+          (void)solve(test_oracle::sensitize_v1_query(nl, lev, path, rising,
+                                                      robust, v2->pi_values));
+        }
+      }
+    }
+  }
+  EXPECT_GT(queries, 100u);
+  if (std::string(GetParam()) == "s9234") {
+    EXPECT_GT(refuted, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Standins, RefutationMatchesOracle, ::testing::Values("s1196", "s9234"),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       return std::string(param_info.param);
     });

@@ -1,11 +1,14 @@
 // Tests for the traditional logic-domain (gross-delay dictionary)
-// diagnosis baseline.
+// diagnosis baseline, whose cone-row counts are also checked against the
+// per-cell loop of logic_baseline_oracle.h.
 #include <gtest/gtest.h>
 
+#include "logic_baseline_oracle.h"
 #include "atpg/pdf_atpg.h"
 #include "diagnosis/logic_baseline.h"
 #include "eval/experiment.h"
 #include "logicsim/bitsim.h"
+#include "netlist/iscas_catalog.h"
 #include "netlist/levelize.h"
 #include "netlist/synth.h"
 #include "paths/transition_graph.h"
@@ -111,6 +114,54 @@ TEST(LogicBaseline, EmptyBehaviorYieldsNoSuspects) {
   const LogicBaselineDiagnoser baseline(f.sim, f.lev);
   const BehaviorMatrix B(f.nl.outputs().size(), f.patterns.size());
   EXPECT_TRUE(baseline.diagnose(f.patterns, B).empty());
+}
+
+// The ranking from cone-row counts equals the per-cell loop's, arc for
+// arc and distance for distance, on both stand-ins: for a chip that fails
+// exactly as some arc's gross-delay prediction, for sparse random
+// failures, and for one failing cell.
+TEST(LogicBaseline, ConeRowCountsMatchPerCellCones) {
+  for (const char* name : {"s1196", "s9234"}) {
+    const Netlist nl =
+        netlist::make_standin(*netlist::find_profile(name), 0.35, 7);
+    const Levelization lev(nl);
+    const logicsim::BitSimulator sim(nl, lev);
+    const LogicBaselineDiagnoser baseline(sim, lev);
+    stats::Rng rng(77);
+    std::vector<logicsim::PatternPair> patterns;
+    for (int j = 0; j < 8; ++j) {
+      patterns.push_back(atpg::random_pattern_pair(nl.inputs().size(), rng));
+    }
+    const std::size_t n_out = nl.outputs().size();
+    std::vector<BehaviorMatrix> chips;
+    const auto sig = baseline.signature(patterns, nl.arc_count() / 3);
+    BehaviorMatrix gross(n_out, patterns.size());
+    for (std::size_t i = 0; i < n_out; ++i) {
+      for (std::size_t j = 0; j < patterns.size(); ++j) {
+        gross.set(i, j, sig[i][j]);
+      }
+    }
+    chips.push_back(gross);
+    BehaviorMatrix sparse(n_out, patterns.size());
+    for (std::size_t i = 0; i < n_out; ++i) {
+      for (std::size_t j = 0; j < patterns.size(); ++j) {
+        sparse.set(i, j, rng.below(20) == 0);
+      }
+    }
+    chips.push_back(sparse);
+    BehaviorMatrix one(n_out, patterns.size());
+    one.set(n_out / 2, 3, true);
+    chips.push_back(one);
+    for (const BehaviorMatrix& B : chips) {
+      const auto got = baseline.diagnose(patterns, B);
+      const auto want = test_oracle::oracle_logic_ranking(sim, lev, patterns, B);
+      ASSERT_EQ(got.size(), want.size()) << name;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].arc, want[k].arc) << name << " rank " << k;
+        EXPECT_EQ(got[k].hamming, want[k].hamming) << name << " rank " << k;
+      }
+    }
+  }
 }
 
 TEST(LogicBaseline, ExperimentRecordsBaselineRanks) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "stats/correlation.h"
 #include "stats/histogram.h"
@@ -68,6 +69,25 @@ TEST(Rng, SplitStreamsIndependent) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a.next() == b.next()) ? 1 : 0;
   EXPECT_LT(same, 4);
+}
+
+TEST(Rng, CoinIsBernoulliHalf) {
+  // 10^6 draws over several seeds and streams: the same bit as
+  // bernoulli(0.5), and the generator left in the same state.
+  const std::pair<std::uint64_t, std::uint64_t> streams[] = {
+      {1, 2}, {42, 7}, {0, 0}, {0x853c49e6748fea9bULL, 0xda3e39cb94b95bdbULL}};
+  int heads = 0;
+  for (const auto& [seed, stream] : streams) {
+    Rng a(seed, stream);
+    Rng b(seed, stream);
+    for (int i = 0; i < 250000; ++i) {
+      const bool coin = a.coin();
+      ASSERT_EQ(coin, b.bernoulli(0.5)) << "draw " << i;
+      heads += coin ? 1 : 0;
+    }
+    EXPECT_EQ(a.next(), b.next());
+  }
+  EXPECT_NEAR(heads, 500000, 5000);
 }
 
 TEST(InverseNormalCdf, MatchesKnownValues) {

@@ -17,8 +17,9 @@
 #      must hash to tests/data/golden/s1196_explain.sha256, and the
 #      diagnose's metrics must show the diag.kernel.* / dict.sig_cache.*
 #      counters (some, not all, built columns equal to the shared
-#      baseline) and the ATPG conflict cache (atpg.podem.pruned,
-#      atpg.conflict.cores) actually firing;
+#      baseline) and the ATPG refutation and conflict cache
+#      (atpg.podem.refuted, atpg.podem.pruned, atpg.conflict.cores)
+#      actually firing;
 #   6. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
 #      groups, per-suspect coverage, coverage ratio in [0,1]), and the
@@ -165,13 +166,15 @@ with open(sys.argv[2]) as f:
     want = f.read().strip()
 assert got == want, f"explain JSON sha256 {got} != golden {want}"
 # The diagnose must actually have scored through the kernel and the cache,
-# its ATPG must have pruned PODEM calls with learned conflicts, and its
-# stage counters must describe a run that did work.
+# its ATPG must have refuted PODEM calls and pruned others with the cores
+# those refutations learned, and its stage counters must describe a run
+# that did work.
 with open(sys.argv[3]) as f:
     counters = json.load(f)["counters"]
 for key in ("diag.kernel.patterns", "diag.kernel.suspects",
             "dict.sig_cache.misses", "dict.sig_cache.bytes",
-            "atpg.podem.pruned", "atpg.conflict.cores"):
+            "atpg.podem.refuted", "atpg.podem.pruned",
+            "atpg.conflict.cores"):
     assert counters.get(key, 0) > 0, f"counter {key} missing or zero"
 # The ATPG stage counters: fills were tried and some activated their
 # path, the site search kept survivors, the draw loop ran, and the
@@ -190,7 +193,8 @@ print(f"golden bytes ok: result + explain identical, "
       f"{counters['diag.kernel.suspects']} kernel phi columns, "
       f"{counters['dict.sig_cache.misses']} cache builds "
       f"({c('dict.sig_cache.shared')} equal to the baseline), "
-      f"{counters['atpg.podem.pruned']} PODEM calls pruned by "
+      f"{counters['atpg.podem.refuted']} PODEM calls refuted, "
+      f"{counters['atpg.podem.pruned']} pruned by "
       f"{counters['atpg.conflict.cores']} learned cores, "
       f"{c('atpg.fill.activated')}/{c('atpg.fill.tried')} fills activating, "
       f"{c('defect.draws')} draws, {c('paths.tg.builds')} graphs")
