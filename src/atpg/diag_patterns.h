@@ -42,9 +42,10 @@ struct DiagnosticPatternConfig {
 
 /// Generates the diagnostic pattern set for a fault site.  Deterministic
 /// given `rng`'s state.  Duplicate patterns are removed.  `conflicts`
-/// (optional, built for the model's netlist) lets PODEM skip candidate
-/// paths earlier calls proved false; the patterns and the RNG state after
-/// the call are the same with or without it.
+/// (built for the model's netlist) lets PODEM skip candidate paths that
+/// earlier calls, of this one or others sharing it, proved false; when it
+/// is null the call's solver refutes through a private cache.  The
+/// patterns and the RNG state after the call are the same either way.
 std::vector<logicsim::PatternPair> generate_diagnostic_patterns(
     const timing::ArcDelayModel& model, const netlist::Levelization& lev,
     netlist::ArcId site, const DiagnosticPatternConfig& config,

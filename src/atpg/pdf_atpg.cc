@@ -85,14 +85,12 @@ std::optional<SensitizedTemplates> PathDelayAtpg::sensitize(
   const auto sol2 = podem_.solve(v2_obj, max_backtracks, pre2);
   if (!sol2) return std::nullopt;
 
-  // Final on-path values under v2 (needed for the robust launch
-  // conditions): one ternary sweep of the solved assignment.
-  const TernarySimulator tsim(nl, *lev_);
-  const auto val2 = tsim.simulate(sol2->pi_values);
-
   // --- Launch vector v1. ---
   std::vector<Objective> v1_obj;
   if (robust) {
+    // Final on-path values under v2 (the robust launch conditions read
+    // them): one ternary sweep of the solved assignment.
+    const auto val2 = TernarySimulator(nl, *lev_).simulate(sol2->pi_values);
     for (const ArcId a : path.arcs) {
       const auto& arc = nl.arc(a);
       const Gate& gate = nl.gate(arc.gate);

@@ -50,7 +50,8 @@ struct SensitizedTemplates {
 
 class PathDelayAtpg {
  public:
-  /// `conflicts` (optional) is handed to the PODEM solver (see podem.h).
+  /// `conflicts` is handed to the PODEM solver, which owns a private cache
+  /// when it is null (see podem.h).
   PathDelayAtpg(const netlist::Netlist& nl, const netlist::Levelization& lev,
                 ConflictCache* conflicts = nullptr);
 

@@ -270,7 +270,7 @@ std::vector<Literal> query_literals(std::span<const Objective> objectives,
   return lits;
 }
 
-/// Budgets the memos can key: every key value is 32 bits wide.
+/// Budgets the abort memo can key: every key value is 32 bits wide.
 constexpr std::size_t kMaxMemoBudget = 0xFFFFFFFFU;
 
 /// The abort memo's key of a solve: its budget, its objective count, its
@@ -541,12 +541,14 @@ struct Podem::Search {
 Podem::Podem(const Netlist& nl, const netlist::Levelization& lev,
              ConflictCache* conflicts)
     : nl_(&nl),
-      conflicts_(conflicts),
-      engine_(std::make_unique<ImplicationEngine>(nl, lev)) {
-  if (conflicts != nullptr && conflicts->gate_count() != nl.gate_count()) {
+      own_conflicts_(conflicts == nullptr ? std::make_unique<ConflictCache>(nl)
+                                          : nullptr),
+      conflicts_(conflicts == nullptr ? own_conflicts_.get() : conflicts),
+      engine_(std::make_unique<ImplicationEngine>(nl, lev)),
+      refuter_(std::make_unique<Refuter>(*engine_)) {
+  if (conflicts_->gate_count() != nl.gate_count()) {
     throw std::invalid_argument("Podem: ConflictCache built for another netlist");
   }
-  if (conflicts != nullptr) refuter_ = std::make_unique<Refuter>(*engine_);
   input_index_.assign(nl.gate_count(), -1);
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     input_index_[nl.inputs()[i]] = static_cast<std::int32_t>(i);
@@ -729,27 +731,23 @@ std::optional<PodemResult> Podem::solve(
     c.calls->add(1);
     c.ns->add(obs::now_ns() - t0);
   };
+  if (conflicts_->covers(query_literals(objectives, pre_assigned, nl))) {
+    count(Outcome::kPruned);
+    return std::nullopt;
+  }
   std::vector<std::uint32_t> key;
-  if (conflicts_ != nullptr) {
-    if (conflicts_->covers(query_literals(objectives, pre_assigned, nl))) {
-      count(Outcome::kPruned);
+  if (max_backtracks <= kMaxMemoBudget) {
+    key = query_key(objectives, pre_assigned, max_backtracks, nl);
+    if (conflicts_->refused(key)) {
+      count(Outcome::kRepeat);
       return std::nullopt;
-    }
-    if (max_backtracks <= kMaxMemoBudget) {
-      key = query_key(objectives, pre_assigned, max_backtracks, nl);
-      if (conflicts_->refused(key)) {
-        count(Outcome::kRepeat);
-        return std::nullopt;
-      }
     }
   }
-  if (conflicts_ != nullptr) {
-    std::vector<Literal> core;
-    if (refuter_->refute(objectives, pre_assigned, nl.inputs(), core)) {
-      conflicts_->add(core);
-      count(Outcome::kRefuted);
-      return std::nullopt;
-    }
+  std::vector<Literal> core;
+  if (refuter_->refute(objectives, pre_assigned, nl.inputs(), core)) {
+    conflicts_->add(core);
+    count(Outcome::kRefuted);
+    return std::nullopt;
   }
   Search s = search(objectives, pre_assigned, max_backtracks);
   count(s.outcome);

@@ -9,11 +9,12 @@
 // contradictions backtrack with a bounded budget.  Implication runs on a
 // compiled event-driven engine (CSR fan-ins and fan-outs, flat cell types
 // and levels, inline ternary evaluation) that re-evaluates only the cone
-// an assignment changes, level by level.  With a ConflictCache, a call is
-// first refuted if it can be: unit propagation of its own objectives and
-// pins through every gate's clauses, in both directions, proves most
-// false paths unsatisfiable without a decision (Larrabee's SAT view of
-// ATPG), and the literals such a proof rests on become a learned core.
+// an assignment changes, level by level.  Before it searches, a call is
+// refuted if it can be: unit propagation of its own objectives and pins
+// through every gate's clauses, in both directions, proves most false
+// paths unsatisfiable without a decision (Larrabee's SAT view of ATPG),
+// and the literals such a proof rests on become a core in the solver's
+// ConflictCache.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,9 @@ class Refuter;
 
 class Podem {
  public:
-  /// `conflicts` (optional, built for `nl`) answers calls the solver has
-  /// already settled and learns from this solver's refutations.
+  /// `conflicts` (built for `nl`) answers calls already settled and learns
+  /// from this solver's refutations; it may be shared with other solvers.
+  /// Without one, the Podem owns a private cache.
   Podem(const netlist::Netlist& nl, const netlist::Levelization& lev,
         ConflictCache* conflicts = nullptr);
   ~Podem();
@@ -67,9 +69,10 @@ class Podem {
   ///     was skipped.  Constant gates hold their value, so an objective on
   ///     one is satisfied or conflicts at once.
   ///
-  /// With a ConflictCache, three steps come before the search, and each
-  /// returns std::nullopt unsearched, which is what the search would have
-  /// returned (it draws no random numbers, so skipping it moves nothing):
+  /// Three steps come before the search, each answered through the
+  /// ConflictCache, and each returns std::nullopt unsearched, which is what
+  /// the search would have returned (it draws no random numbers, so
+  /// skipping it moves nothing):
   ///   - pruned: some learned core is a subset of the objectives plus pins;
   ///   - repeat: an identical call (the same objectives in the same order,
   ///     pins and budget) already aborted;
@@ -99,9 +102,10 @@ class Podem {
 
   const netlist::Netlist* nl_;
   std::vector<std::int32_t> input_index_;  ///< gate id -> PI position or -1
+  std::unique_ptr<ConflictCache> own_conflicts_;  ///< when none was given
   ConflictCache* conflicts_;
   std::unique_ptr<ImplicationEngine> engine_;
-  std::unique_ptr<Refuter> refuter_;  ///< only with a ConflictCache
+  std::unique_ptr<Refuter> refuter_;
 };
 
 }  // namespace sddd::atpg

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "analysis/check.h"
+#include "obs/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
@@ -55,7 +55,7 @@ PatternSlice::PatternSlice(const timing::DynamicTimingSimulator& sim,
   const obs::ScopedNsTimer timer(dict_build_ns_counter());
   baseline_ = sim.simulate(tg_);
   m_col_ = sim.error_vector(tg_, baseline_, clk);
-  analysis::check_probability_column(m_col_, "PatternSlice M_crt column");
+  obs::check_probability_column(m_col_, "PatternSlice M_crt column");
   dict_slices_counter().add(1);
   dict_columns_counter().add(1);
 }
@@ -83,7 +83,7 @@ void PatternSlice::e_column_into(netlist::ArcId suspect,
   dict_columns_counter().add(1);
   sim_->error_vector_with_defect_into(tg_, baseline_, suspect, sizes, clk_,
                                       out);
-  analysis::check_probability_column(out, "PatternSlice E_crt column");
+  obs::check_probability_column(out, "PatternSlice E_crt column");
 }
 
 std::vector<double> PatternSlice::signature_column(
@@ -92,7 +92,7 @@ std::vector<double> PatternSlice::signature_column(
   for (std::size_t i = 0; i < s.size(); ++i) {
     s[i] = std::max(s[i] - m_col_[i], 0.0);
   }
-  analysis::check_signature_column(s, "PatternSlice S_crt column");
+  obs::check_signature_column(s, "PatternSlice S_crt column");
   return s;
 }
 
@@ -103,7 +103,7 @@ void PatternSlice::signature_column_into(netlist::ArcId suspect,
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = std::max(out[i] - m_col_[i], 0.0);
   }
-  analysis::check_signature_column(out, "PatternSlice S_crt column");
+  obs::check_signature_column(out, "PatternSlice S_crt column");
 }
 
 FaultDictionary::FaultDictionary(

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "analysis/check.h"
+#include "obs/check.h"
 #include "obs/metrics.h"
 
 namespace sddd::diagnosis {
@@ -44,7 +44,7 @@ double phi(std::span<const double> s_column,
   }
   // Runtime contract: phi matches probabilities, so an out-of-range entry
   // means the signature fed to diagnosis scoring is corrupt.
-  analysis::check_probability_column(s_column, "phi signature match");
+  obs::check_probability_column(s_column, "phi signature match");
   phi_evals_counter().add(1);
   double acc = 1.0;
   for (std::size_t k = 0; k < s_column.size(); ++k) {

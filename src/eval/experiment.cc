@@ -666,25 +666,19 @@ ExperimentResult run_diagnosis_experiment(const Netlist& nl,
                                                      "diag.phi_evals");
   ph.pool_tasks =
       obs::MetricsSnapshot::counter_delta(snap_start, snap_end, "pool.tasks");
-  const auto podem = [&](const std::string& name) {
-    return PhaseBreakdown::PodemOutcome{
+  for (std::size_t k = 0; k < ph.podem.size(); ++k) {
+    const std::string name =
+        std::string("atpg.podem.") + PhaseBreakdown::kPodemOutcomes[k];
+    ph.podem[k] = {
         obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name),
         obs::MetricsSnapshot::delta_ns_to_seconds(snap_start, snap_end,
                                                   name + "_ns")};
-  };
-  ph.podem_sat = podem("atpg.podem.sat");
-  ph.podem_exhausted = podem("atpg.podem.exhausted");
-  ph.podem_aborted = podem("atpg.podem.aborted");
-  ph.podem_dead_end = podem("atpg.podem.dead_end");
-  ph.podem_pruned = podem("atpg.podem.pruned");
-  ph.podem_repeat = podem("atpg.podem.repeat");
-  ph.podem_refuted = podem("atpg.podem.refuted");
-  ph.conflict_cores = obs::MetricsSnapshot::counter_delta(
-      snap_start, snap_end, "atpg.conflict.cores");
-  ph.conflict_bytes = obs::MetricsSnapshot::counter_delta(
-      snap_start, snap_end, "atpg.conflict.bytes");
-  ph.conflict_memo_bytes = obs::MetricsSnapshot::counter_delta(
-      snap_start, snap_end, "atpg.conflict.memo_bytes");
+  }
+  for (std::size_t k = 0; k < ph.conflict.size(); ++k) {
+    ph.conflict[k] = obs::MetricsSnapshot::counter_delta(
+        snap_start, snap_end,
+        std::string("atpg.conflict.") + PhaseBreakdown::kConflictCounters[k]);
+  }
   for (const char* name : PhaseBreakdown::kStageCounters) {
     ph.stages.emplace_back(
         name, obs::MetricsSnapshot::counter_delta(snap_start, snap_end, name));

@@ -13,7 +13,9 @@
 // statistic.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -194,31 +196,25 @@ struct PhaseBreakdown {
   std::uint64_t sig_cache_misses = 0;
   std::uint64_t sig_cache_bytes = 0;
 
-  /// PODEM calls and their CPU seconds by outcome (atpg.podem.*; see
-  /// atpg/podem.h), and what the shared ConflictCache learned
-  /// (atpg.conflict.*).  A core learned by one thread prunes calls on
-  /// another, and an abort recorded by one answers repeats on another, so
-  /// these depend on the thread schedule: they are reported here and in
-  /// the metrics, never in the result JSON or the journal.
+  /// PODEM calls and their CPU seconds by outcome, in kPodemOutcomes order
+  /// (atpg.podem.<outcome>[_ns]; see atpg/podem.h), and what the
+  /// ConflictCache learned, in kConflictCounters order (atpg.conflict.*:
+  /// cores, the bytes the cache grew by and the abort memo's share of
+  /// them).  A core learned by one thread prunes calls on another, and an
+  /// abort recorded by one answers repeats on another, so these depend on
+  /// the thread schedule: they are reported here and in the metrics, never
+  /// in the result JSON or the journal.  pruned, repeat and refuted calls
+  /// were answered unsearched.
+  static constexpr const char* kPodemOutcomes[] = {
+      "sat", "exhausted", "aborted", "dead_end", "pruned", "repeat", "refuted"};
+  static constexpr const char* kConflictCounters[] = {"cores", "bytes",
+                                                      "memo_bytes"};
   struct PodemOutcome {
     std::uint64_t calls = 0;
     double cpu_seconds = 0.0;
   };
-  PodemOutcome podem_sat;
-  PodemOutcome podem_exhausted;
-  PodemOutcome podem_aborted;
-  PodemOutcome podem_dead_end;
-  PodemOutcome podem_pruned;
-  /// Calls identical to one that already aborted: answered unsearched.
-  PodemOutcome podem_repeat;
-  /// Calls whose own literals implied a contradiction: answered unsearched,
-  /// each learning a core.
-  PodemOutcome podem_refuted;
-  std::uint64_t conflict_cores = 0;
-  /// Bytes the cache grew by (cores and the abort memo), and the memo's
-  /// share.
-  std::uint64_t conflict_bytes = 0;
-  std::uint64_t conflict_memo_bytes = 0;
+  std::array<PodemOutcome, std::size(kPodemOutcomes)> podem{};
+  std::array<std::uint64_t, std::size(kConflictCounters)> conflict{};
 
   /// Stage counters, in kStageCounters order as (metric name, count): the
   /// injection draws and why each was rejected, then the ATPG stages and

@@ -165,29 +165,19 @@ void write_table1_json(std::ostream& os, const Table1Config& config,
        << ", \"sig_cache_bytes\": " << ph.sig_cache_bytes << "},\n";
     // PODEM outcomes and the conflict cache depend on the thread schedule
     // (see PhaseBreakdown), unlike everything above.
-    const auto outcome = [&os](const char* name,
-                               const PhaseBreakdown::PodemOutcome& o) {
-      os << "\"" << name << "\": {\"calls\": " << o.calls
-         << ", \"cpu_s\": " << o.cpu_seconds << "}";
-    };
     os << "                \"podem\": {";
-    outcome("sat", ph.podem_sat);
-    os << ", ";
-    outcome("exhausted", ph.podem_exhausted);
-    os << ",\n                          ";
-    outcome("aborted", ph.podem_aborted);
-    os << ", ";
-    outcome("dead_end", ph.podem_dead_end);
-    os << ",\n                          ";
-    outcome("pruned", ph.podem_pruned);
-    os << ", ";
-    outcome("repeat", ph.podem_repeat);
-    os << ",\n                          ";
-    outcome("refuted", ph.podem_refuted);
-    os << "},\n"
-       << "                \"conflict\": {\"cores\": " << ph.conflict_cores
-       << ", \"bytes\": " << ph.conflict_bytes
-       << ", \"memo_bytes\": " << ph.conflict_memo_bytes << "},\n";
+    for (std::size_t k = 0; k < ph.podem.size(); ++k) {
+      os << (k == 0 ? "" : k % 2 == 0 ? ",\n                          " : ", ")
+         << "\"" << PhaseBreakdown::kPodemOutcomes[k]
+         << "\": {\"calls\": " << ph.podem[k].calls
+         << ", \"cpu_s\": " << ph.podem[k].cpu_seconds << "}";
+    }
+    os << "},\n                \"conflict\": {";
+    for (std::size_t k = 0; k < ph.conflict.size(); ++k) {
+      os << (k == 0 ? "" : ", ") << "\"" << PhaseBreakdown::kConflictCounters[k]
+         << "\": " << ph.conflict[k];
+    }
+    os << "},\n";
     // Stage counters do not depend on the schedule (see PhaseBreakdown).
     os << "                \"stages\": {";
     for (std::size_t k = 0; k < ph.stages.size(); ++k) {

@@ -10,8 +10,11 @@
 // sets of PathDelayAtpg::sensitize itself, so a rule dropped from
 // src/atpg shows up as a mismatch.  Like the old solver it leaves constant
 // gates at X; it is a reference only on netlists without constants, which
-// covers every stand-in.  The compiled solver's contract is identity with
-// this reference: the same outcome, PI values and backtrack count.
+// covers every stand-in.  It is the one cache-free reference: every Podem
+// answers through a ConflictCache, and its contract is identity with this
+// search (the same outcome, PI values and backtrack count) for every call
+// it searches, and no oracle test for every call its cache or refutation
+// answers unsearched.
 #pragma once
 
 #include <optional>

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "analysis/check.h"
+#include "obs/check.h"
 #include "analysis/dictionary_rules.h"
 #include "analysis/model_rules.h"
 #include "analysis/netlist_rules.h"
@@ -353,48 +353,48 @@ o = NOT(u)
 
 class CheckModeGuard {
  public:
-  CheckModeGuard() : before_(check_mode()) {}
-  ~CheckModeGuard() { set_check_mode(before_); }
+  CheckModeGuard() : before_(obs::check_mode()) {}
+  ~CheckModeGuard() { obs::set_check_mode(before_); }
 
  private:
-  CheckMode before_;
+  obs::CheckMode before_;
 };
 
 TEST(SdddCheck, OffModeIgnoresViolations) {
   const CheckModeGuard guard;
-  set_check_mode(CheckMode::kOff);
+  obs::set_check_mode(obs::CheckMode::kOff);
   const std::vector<double> bad = {0.5, 1.5};
-  EXPECT_NO_THROW(check_probability_column(bad, "test"));
-  EXPECT_NO_THROW(check_signature_column(bad, "test"));
+  EXPECT_NO_THROW(obs::check_probability_column(bad, "test"));
+  EXPECT_NO_THROW(obs::check_signature_column(bad, "test"));
 }
 
 TEST(SdddCheck, ThrowModeNamesRuleId) {
   const CheckModeGuard guard;
-  set_check_mode(CheckMode::kThrow);
+  obs::set_check_mode(obs::CheckMode::kThrow);
   const std::vector<double> bad_prob = {0.5, 1.5};
   try {
-    check_probability_column(bad_prob, "unit test");
+    obs::check_probability_column(bad_prob, "unit test");
     FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
+  } catch (const obs::ContractViolation& e) {
     EXPECT_EQ(e.rule_id(), "DICT001");
     EXPECT_NE(std::string(e.what()).find("DICT001"), std::string::npos);
   }
 
   const std::vector<double> bad_sig = {-1.5};
   try {
-    check_signature_column(bad_sig, "unit test");
+    obs::check_signature_column(bad_sig, "unit test");
     FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
+  } catch (const obs::ContractViolation& e) {
     EXPECT_EQ(e.rule_id(), "DICT002");
   }
 }
 
 TEST(SdddCheck, MacroGuardsArbitraryConditions) {
   const CheckModeGuard guard;
-  set_check_mode(CheckMode::kThrow);
+  obs::set_check_mode(obs::CheckMode::kThrow);
   EXPECT_NO_THROW(SDDD_CHECK(2 + 2 == 4, "NET001", "arithmetic"));
-  EXPECT_THROW(SDDD_CHECK(false, "MOD001", "forced"), ContractViolation);
-  set_check_mode(CheckMode::kOff);
+  EXPECT_THROW(SDDD_CHECK(false, "MOD001", "forced"), obs::ContractViolation);
+  obs::set_check_mode(obs::CheckMode::kOff);
   EXPECT_NO_THROW(SDDD_CHECK(false, "MOD001", "ignored when off"));
 }
 
@@ -402,17 +402,17 @@ TEST(SdddCheck, MacroGuardsArbitraryConditions) {
 // during diagnosis scoring (phi) with a message naming the rule id.
 TEST(SdddCheck, PhiRejectsOutOfRangeSignature) {
   const CheckModeGuard guard;
-  set_check_mode(CheckMode::kThrow);
+  obs::set_check_mode(obs::CheckMode::kThrow);
   const std::vector<double> s = {0.25, 1.75};  // 1.75 violates DICT002
   const std::vector<bool> b = {true, false};
   try {
     diagnosis::phi(s, b);
     FAIL() << "expected ContractViolation from phi()";
-  } catch (const ContractViolation& e) {
+  } catch (const obs::ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("DICT00"), std::string::npos);
   }
 
-  set_check_mode(CheckMode::kOff);
+  obs::set_check_mode(obs::CheckMode::kOff);
   EXPECT_NO_THROW(diagnosis::phi(s, b));  // contracts off: legacy behavior
 }
 

@@ -3,10 +3,15 @@
 // paper reference numbers and multi-defect trials (future work #3).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
+
 #include "eval/experiment.h"
 #include "eval/paper_reference.h"
 #include "eval/table1.h"
 #include "netlist/synth.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace sddd::eval {
 namespace {
@@ -146,6 +151,59 @@ TEST(Table1, RunsOneCircuitAtTinyScale) {
   const auto csv = result.to_csv();
   EXPECT_NE(csv.find("circuit,k"), std::string::npos);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3
+}
+
+// The Table-I JSON reports every PODEM outcome (calls and CPU seconds) and
+// every conflict-cache counter under its name, and the calls are the run's
+// counter deltas.
+TEST(Table1, JsonCarriesEveryPodemOutcome) {
+  Table1Config config;
+  config.circuits = {"s1196"};
+  config.scale = 0.25;
+  config.base = quick_config();
+  config.base.n_chips = 3;
+  auto& registry = obs::MetricsRegistry::instance();
+  const obs::MetricsSnapshot before = registry.snapshot();
+  const auto result = run_table1(config);
+  const obs::MetricsSnapshot after = registry.snapshot();
+  const auto delta = [&](const std::string& name) {
+    return obs::MetricsSnapshot::counter_delta(before, after, name);
+  };
+  std::ostringstream os;
+  write_table1_json(os, config, result, 1.0, "sha", "run");
+  const obs::JsonValue json = obs::parse_json(os.str());
+  const obs::JsonValue* circuits = json.get("circuits");
+  ASSERT_TRUE(circuits != nullptr && circuits->array.size() == 1u);
+  const obs::JsonValue* phases = circuits->array[0].get("phases");
+  ASSERT_NE(phases, nullptr);
+
+  const obs::JsonValue* podem = phases->get("podem");
+  ASSERT_NE(podem, nullptr);
+  EXPECT_EQ(podem->object.size(), std::size(PhaseBreakdown::kPodemOutcomes));
+  std::uint64_t calls = 0;
+  for (const char* name : PhaseBreakdown::kPodemOutcomes) {
+    const obs::JsonValue* outcome = podem->get(name);
+    ASSERT_NE(outcome, nullptr) << name;
+    ASSERT_TRUE(outcome->get("calls") != nullptr &&
+                outcome->get("calls")->integer.has_value())
+        << name;
+    EXPECT_NE(outcome->get("cpu_s"), nullptr) << name;
+    const std::uint64_t n = *outcome->get("calls")->integer;
+    EXPECT_EQ(n, delta(std::string("atpg.podem.") + name)) << name;
+    calls += n;
+  }
+  EXPECT_GT(calls, 0u);
+
+  const obs::JsonValue* conflict = phases->get("conflict");
+  ASSERT_NE(conflict, nullptr);
+  EXPECT_EQ(conflict->object.size(),
+            std::size(PhaseBreakdown::kConflictCounters));
+  for (const char* name : PhaseBreakdown::kConflictCounters) {
+    const obs::JsonValue* value = conflict->get(name);
+    ASSERT_TRUE(value != nullptr && value->integer.has_value()) << name;
+    EXPECT_EQ(*value->integer, delta(std::string("atpg.conflict.") + name))
+        << name;
+  }
 }
 
 TEST(MultiDefect, ExperimentRunsAndRecordsExtras) {

@@ -19,7 +19,9 @@
 #      counters (some, not all, built columns equal to the shared
 #      baseline) and the ATPG refutation and conflict cache
 #      (atpg.podem.refuted, atpg.podem.pruned, atpg.conflict.cores)
-#      actually firing;
+#      actually firing; then sddd_cli atpg on the same circuit at four
+#      sites must print tests/data/golden/s1196_atpg.txt byte for byte,
+#      with PODEM calls refuted and solved in those runs;
 #   6. diagnosability gate: sddd_lint --diagnosability --json on the same
 #      circuit must emit a well-formed machine-readable report (ambiguity
 #      groups, per-suspect coverage, coverage ratio in [0,1]), and the
@@ -198,6 +200,33 @@ print(f"golden bytes ok: result + explain identical, "
       f"{counters['atpg.conflict.cores']} learned cores, "
       f"{c('atpg.fill.activated')}/{c('atpg.fill.tried')} fills activating, "
       f"{c('defect.draws')} draws, {c('paths.tg.builds')} graphs")
+EOF
+
+# The standalone pattern generator (sddd_cli atpg: the five-argument
+# generate_diagnostic_patterns, whose solver owns its conflict cache) at
+# the default site and three sites with testable paths must print the
+# committed patterns, and its solvers must have refuted some calls and
+# solved others.
+: > "$OBS_DIR/atpg.txt"
+for SITE in "" 12 120 140; do
+  ./build/tools/sddd_cli atpg "$OBS_DIR/s1196.bench" --seed 3 \
+    ${SITE:+--site "$SITE"} --metrics-out "$OBS_DIR/atpg_metrics$SITE.json" \
+    >> "$OBS_DIR/atpg.txt"
+done
+cmp "$OBS_DIR/atpg.txt" tests/data/golden/s1196_atpg.txt
+python3 - "$OBS_DIR"/atpg_metrics*.json <<'EOF'
+import json, sys
+total = {"atpg.podem.refuted": 0, "atpg.podem.sat": 0}
+for path in sys.argv[1:]:
+    with open(path) as f:
+        counters = json.load(f)["counters"]
+    for key in total:
+        total[key] += counters.get(key, 0)
+for key, value in total.items():
+    assert value > 0, f"counter {key} zero over the atpg runs"
+print(f"atpg golden ok: {len(sys.argv) - 1} sites byte-identical, "
+      f"{total['atpg.podem.refuted']} PODEM calls refuted, "
+      f"{total['atpg.podem.sat']} solved")
 EOF
 
 echo "== [6/14] diagnosability gate (static analysis + suspect collapse) =="
